@@ -24,12 +24,7 @@ from .errors import (
 from .linalg import as_sym, definiteness, psd_sqrt
 from .pinned import bridge_verify, point_to_point_policy
 from .simulate import sample_ensemble
-from .steering import (
-    mean_steering,
-    optimal_density_policy,
-    solve_coupled_lyapunov,
-)
-from .lqr import AffineGaussianPolicy
+from .steering import _general_policy_and_pair
 from .system import validate_assumptions
 
 _INPUT_ERRORS = (ParseError, DimensionMismatch, NotTwoDimensional, NonpositiveEpsilon)
@@ -50,18 +45,6 @@ def _load_spec(path: str) -> specio.ProblemSpec:
 def _require_density(spec: specio.ProblemSpec, command: str):
     if spec.mode != "density":
         _bail(ParseError(f"'{command}' needs a density-mode spec (mean/cov boundaries)"), 2)
-
-
-def _density_policy_with_q(spec: specio.ProblemSpec, epsilon: float):
-    """Solve the density problem; returns (policy, lyapunov pair)."""
-    system = spec.system()
-    lyap = solve_coupled_lyapunov(system, spec.initial.cov, spec.terminal.cov, epsilon)
-    policy = optimal_density_policy(system, lyap, epsilon)
-    if np.any(spec.initial.mean) or np.any(spec.terminal.mean):
-        ubar, mu = mean_steering(system, spec.initial.mean, spec.terminal.mean)
-        feed = ubar - np.einsum("kmn,kn->km", policy.gains, mu[:-1])
-        policy = AffineGaussianPolicy(policy.gains, feed, policy.noise_covs)
-    return policy, lyap
 
 
 def ellipse_points(cov, level: float, count: int):
@@ -142,7 +125,7 @@ def cmd_solve(spec_path, out_path, epsilon_override):
     _require_density(spec, "solve")
     epsilon = epsilon_override if epsilon_override is not None else spec.epsilon
     try:
-        policy, lyap = _density_policy_with_q(spec, epsilon)
+        policy, lyap = _general_policy_and_pair(spec.system(), spec.initial, spec.terminal, epsilon)
     except _INPUT_ERRORS as exc:
         _bail(exc, 2)
     except SteeringError as exc:
@@ -171,7 +154,7 @@ def _steer_impl(spec_path, policy_path, samples, seed, out_path, epsilon_overrid
         if policy_path is not None and policy_path != "auto":
             policy, _ = specio.load_policy(policy_path)
         elif spec.mode == "density":
-            policy, _ = _density_policy_with_q(spec, epsilon)
+            policy, _ = _general_policy_and_pair(system, spec.initial, spec.terminal, epsilon)
         else:
             policy = point_to_point_policy(system, spec.initial, spec.terminal)
         count = samples if samples is not None else (spec.samples or 1000)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, GateNotPD, NonpositiveEpsilon
 from .linalg import DefinitenessReport, SymMatrix, as_sym, definiteness, symmetrize
-from .system import LinearSystemModel, _inv_checked
+from .system import LinearSystemModel, _require_invertible
 
 __all__ = [
     "AffineGaussianPolicy",
@@ -93,7 +93,6 @@ class RiccatiSolution:
 def riccati_backward(
     sys: LinearSystemModel,
     terminal_weight,
-    terminal_target=None,
     epsilon: float = 1.0,
 ) -> RiccatiSolution:
     """Run the backward Riccati difference recursion from Pi_N = F.
@@ -103,17 +102,15 @@ def riccati_backward(
 
     Each gate matrix is checked for positive definiteness before inversion;
     :class:`GateNotPD` reports the step where the hypothesis fails. The
-    terminal weight may be indefinite. ``terminal_target`` and ``epsilon``
-    do not enter the recursion; they are accepted for signature symmetry
-    with :func:`lqr_policy` and validated only.
+    terminal weight may be indefinite. ``epsilon`` does not enter the
+    recursion; it is accepted for signature symmetry with
+    :func:`lqr_policy` and validated only.
     """
     if epsilon <= 0:
         raise NonpositiveEpsilon(f"epsilon must be positive, got {epsilon}")
     f = as_sym(terminal_weight)
     if f.n != sys.n:
         raise DimensionMismatch(f"terminal weight is {f.n}x{f.n}, state dim is {sys.n}")
-    if terminal_target is not None and np.shape(np.atleast_1d(terminal_target)) != (sys.n,):
-        raise DimensionMismatch("terminal target has wrong dimension")
     horizon, n, m = sys.horizon, sys.n, sys.m
     pi = np.zeros((horizon + 1, n, n))
     gates = np.zeros((horizon, m, m))
@@ -162,9 +159,10 @@ def lqr_policy(
     feed = np.zeros((horizon, m))
     target = None if terminal_target is None else np.asarray(terminal_target, dtype=np.float64)
     if target is not None and np.any(target != 0):
+        _require_invertible(sys.A)
         phi = np.eye(n)  # Phi(k, N), built backward from k = N
         for k in range(horizon - 1, -1, -1):
-            phi = _inv_checked(sys.A[k], k) @ phi
+            phi = np.linalg.inv(sys.A[k]) @ phi
             feed[k] = -gains[k] @ phi @ target
     return AffineGaussianPolicy(gains, feed, covs)
 
@@ -188,7 +186,7 @@ class MaxEntLqrProblem:
             raise NonpositiveEpsilon(f"epsilon must be positive, got {self.epsilon}")
 
     def solve(self) -> AffineGaussianPolicy:
-        ric = riccati_backward(self.system, self.terminal_weight, self.terminal_target, self.epsilon)
+        ric = riccati_backward(self.system, self.terminal_weight, self.epsilon)
         return lqr_policy(self.system, ric, self.terminal_target, self.epsilon)
 
 

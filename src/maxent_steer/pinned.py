@@ -20,6 +20,10 @@ Long unstable horizons make several of these comparisons catastrophically
 ill-conditioned in double precision (the conditioning route loses up to
 nine digits on the bundled example), so the module computes internally in
 ``np.longdouble`` like the steering solver and reports float64 results.
+
+Transition products and Gramians come from the sweeps in
+:mod:`maxent_steer.system`: ``_backward_sweep`` for the pinned pieces of the
+reference and optimal processes, ``_Pipeline`` for the oracle and the bridge.
 """
 
 from __future__ import annotations
@@ -28,18 +32,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPD, SingularA, SingularGramian
+from .errors import DimensionMismatch, NotPD, SingularGramian
 from .linalg import (
     gaussian_condition,
     pinv_sym,
+    psd_sqrt_raw,
     rcond_sym,
     solve_linear,
     sym_eig,
     symmetrize,
 )
 from .lqr import AffineGaussianPolicy
-from .steering import _cov_of, _f64, _minus_solution_x, _Pipeline, _xd, _X
-from .system import INVERTIBILITY_RCOND, LinearSystemModel, validate_assumptions
+from .steering import _MinusSolution
+from .system import (
+    INVERTIBILITY_RCOND,
+    LinearSystemModel,
+    _backward_sweep,
+    _cov_of,
+    _f64,
+    _Pipeline,
+    _require_invertible,
+    _validate,
+    _X,
+    _xd,
+)
 
 __all__ = [
     "PinnedController",
@@ -103,16 +119,10 @@ class PinnedMoments:
         return self.cov[k, s]
 
 
-def _check_pinned_hypotheses(sys: LinearSystemModel):
-    for k in range(sys.horizon):
-        s = np.linalg.svd(sys.A[k], compute_uv=False)
-        if s[0] == 0 or s[-1] <= INVERTIBILITY_RCOND * s[0]:
-            raise SingularA(k)
-
-
 class _PinnedPieces:
     """Per-step controller matrices in extended precision.
 
+    ``phi_n`` and ``gr`` stack Phi(N, k) and G_r(N, k) for k = 0..N.
     For each step: Gd = G_r(N, k)^+, the state feedforward map
     D_k = B_k B_k^T Phi(N, k+1)^T Gd, the pinned closed loop
     Ahat_k = (I - D_k Phi(N, k+1)) A_k, the input noise covariance
@@ -120,31 +130,25 @@ class _PinnedPieces:
     the state-space noise covariance Lam_k = B_k W_k B_k^T.
     """
 
-    def __init__(self, a_seq, b_seq, require_full_gramian=True):
+    def __init__(self, a_seq, b_seq):
         horizon = len(a_seq)
         n = a_seq[0].shape[0]
         m = b_seq[0].shape[1]
         eye_n = np.eye(n, dtype=_X)
         eye_m = np.eye(m, dtype=_X)
-        phi_n = [None] * (horizon + 1)  # Phi(N, k)
-        phi_n[horizon] = eye_n
-        for k in range(horizon - 1, -1, -1):
-            phi_n[k] = phi_n[k + 1] @ a_seq[k]
-        gr = [None] * (horizon + 1)  # G_r(N, k)
-        gr[horizon] = np.zeros((n, n), dtype=_X)
-        for k in range(horizon - 1, -1, -1):
-            w = phi_n[k + 1] @ b_seq[k]
-            gr[k] = symmetrize(gr[k + 1] + w @ w.T)
-        if require_full_gramian and rcond_sym(gr[0]) <= INVERTIBILITY_RCOND:
+        phi_n, gr = _backward_sweep(a_seq, b_seq)
+        if rcond_sym(gr[0]) <= INVERTIBILITY_RCOND:
             raise SingularGramian("reachability Gramian of the full horizon is singular")
         self.phi_n = phi_n
         self.gr = gr
+        self.Gd = []
         self.Ahat = []
         self.D = []
         self.W = []
         self.Lam = []
         for k in range(horizon):
             gd = pinv_sym(gr[k])
+            self.Gd.append(gd)
             t = b_seq[k] @ b_seq[k].T @ phi_n[k + 1].T @ gd
             self.D.append(t)
             self.Ahat.append((eye_n - t @ phi_n[k + 1]) @ a_seq[k])
@@ -168,18 +172,17 @@ def pinned_controller(sys: LinearSystemModel, x0bar, target) -> PinnedController
     xt = np.asarray(target, dtype=np.float64)
     if x0bar.shape != (sys.n,) or xt.shape != (sys.n,):
         raise DimensionMismatch("boundary points have wrong dimension")
-    _check_pinned_hypotheses(sys)
-    pieces = _PinnedPieces(list(_xd(sys.A)), list(_xd(sys.B)))
+    _require_invertible(sys.A)
+    pieces = _PinnedPieces(_xd(sys.A), _xd(sys.B))
     horizon, m = sys.horizon, sys.m
     gains = np.zeros((horizon, m, sys.n))
     feeds = np.zeros((horizon, m))
     covs = np.zeros((horizon, m, m))
     xt_x = _xd(xt)
     for k in range(horizon):
-        gd = pinv_sym(pieces.gr[k])
-        bt_phi = _xd(sys.B[k]).T @ pieces.phi_n[k + 1].T
-        gains[k] = _f64(-bt_phi @ gd @ pieces.phi_n[k])
-        feeds[k] = _f64(bt_phi @ gd @ xt_x)
+        bt_phi_gd = _xd(sys.B[k]).T @ pieces.phi_n[k + 1].T @ pieces.Gd[k]
+        gains[k] = _f64(-bt_phi_gd @ pieces.phi_n[k])
+        feeds[k] = _f64(bt_phi_gd @ xt_x)
         covs[k] = _f64(pieces.W[k])
     policy = AffineGaussianPolicy(gains, feeds, covs)
     return PinnedController(
@@ -214,8 +217,8 @@ def pinned_moments_controller(sys: LinearSystemModel, x0bar, target) -> PinnedMo
     xt = np.asarray(target, dtype=np.float64)
     if x0bar.shape != (sys.n,) or xt.shape != (sys.n,):
         raise DimensionMismatch("boundary points have wrong dimension")
-    _check_pinned_hypotheses(sys)
-    pieces = _PinnedPieces(list(_xd(sys.A)), list(_xd(sys.B)))
+    _require_invertible(sys.A)
+    pieces = _PinnedPieces(_xd(sys.A), _xd(sys.B))
     horizon, n = sys.horizon, sys.n
     mean = np.zeros((horizon + 1, n))
     cov = np.zeros((horizon + 1, horizon + 1, n, n))
@@ -255,22 +258,16 @@ def conditional_gaussian_oracle(sys: LinearSystemModel, x0bar, target) -> Pinned
     xt = np.asarray(target, dtype=np.float64)
     if x0bar.shape != (sys.n,) or xt.shape != (sys.n,):
         raise DimensionMismatch("boundary points have wrong dimension")
-    pipe = _Pipeline(sys, 1.0)
+    pipe = _Pipeline(sys)
     horizon, n = sys.horizon, sys.n
     # normalized second moments: cov(y_k, y_s) = gcn[min(k, s)]; gcn[N] is the
     # identity up to round-off, and the computed total is used for the
     # conditioned block so every block derives from the same products
-    gcn = [np.zeros((n, n), dtype=_X)]
-    mk = [pipe.Gch]  # map back to original coordinates: x_k = mk[k] y_k
-    acc = np.zeros((n, n), dtype=_X)
-    for k in range(horizon):
-        w = pipe.Gcih @ pipe.Phi0[k + 1] @ _xd(sys.B[k])
-        acc = symmetrize(acc + w @ w.T)
-        gcn.append(acc)
-        mk.append(pipe.A[k] @ mk[-1])
+    gcn = pipe.gcn
+    mk = pipe.mk  # map back to original coordinates: x_k = mk[k] y_k
     total = gcn[horizon]
-    g0 = pipe.Gcih @ _xd(x0bar)  # normalized mean, constant over time
-    y_obs = pipe.Gcih @ pipe.Phi0[horizon] @ _xd(xt)
+    g0 = pipe.phic[0] @ _xd(x0bar)  # normalized mean, constant over time
+    y_obs = pipe.phic[horizon] @ _xd(xt)
 
     mean = np.zeros((horizon + 1, n))
     cov = np.zeros((horizon + 1, horizon + 1, n, n))
@@ -412,58 +409,44 @@ def bridge_verify(
         w = np.linalg.eigvalsh(cov)
         if w[0] <= INVERTIBILITY_RCOND * max(1.0, abs(float(w[-1]))):
             return skipped(f"{name} covariance is not positive definite")
-    report = validate_assumptions(work, sig0, sig_t, 1.0)
+    report, pipe = _validate(work, sig0, sig_t, 1.0)
     if not report.feasible:
         return skipped("; ".join(report.diagnostics) or "solvability assumptions fail")
 
-    sol = _minus_solution_x(work, sig0, sig_t, 1.0)
+    sol = _MinusSolution(pipe)
     horizon, n = work.horizon, work.n
-    a_seq = list(sol.pipe.A)
-    b_seq = list(sol.pipe.B)
-    acl_seq = sol.A_cl
-    bhalf_seq = sol.B_half
+    a_seq, b_seq = pipe.A, pipe.B
+    # the optimal process: closed loop A_k + B_k K_k driven by B_k gate_k^{-1/2} w_k
+    acl_seq = [a_seq[k] + b_seq[k] @ sol.K[k] for k in range(horizon)]
+    bhalf_seq = [b_seq[k] @ psd_sqrt_raw(sol.noise_base[k]) for k in range(horizon)]
+    ref_pieces = _PinnedPieces(a_seq, b_seq)
+    opt_pieces = _PinnedPieces(acl_seq, bhalf_seq)
     sig0_x = _xd(sig0)
     sig_t_x = _xd(sig_t)
 
     # endpoint coupling first-order condition with Y the optimal cross-covariance
-    phi_q = np.eye(n, dtype=_X)
-    for k in range(horizon):
-        phi_q = acl_seq[k] @ phi_q  # Phi_Q(N, 0)
-    y_cross = phi_q @ sig0_x
-    phi_back = np.eye(n, dtype=_X)  # Phi(N, k) built backward
-    grs = [None] * (horizon + 1)
-    grs[horizon] = np.zeros((n, n), dtype=_X)
-    for k in range(horizon - 1, -1, -1):
-        w = phi_back @ b_seq[k]
-        grs[k] = symmetrize(grs[k + 1] + w @ w.T)
-        phi_back = phi_back @ a_seq[k]
-    phi0 = phi_back  # Phi(N, 0)
-    gr0 = grs[0]
+    y_cross = opt_pieces.phi_n[0] @ sig0_x  # Phi_Q(N, 0) Sigma_0
+    phi0 = ref_pieces.phi_n[0]  # Phi(N, 0)
+    gr0 = ref_pieces.gr[0]
     schur = sig_t_x - y_cross @ solve_linear(sig0_x, y_cross.T)
     lhs = solve_linear(sig0_x, y_cross.T) @ solve_linear(schur.T, np.eye(n, dtype=_X))
     rhs = phi0.T @ solve_linear(gr0, np.eye(n, dtype=_X))
     res_first_order = _rel(lhs - rhs, rhs)
 
-    # coupled-Gramian identity: R1 + R1 Q^{-1} R2 - R2 = 0 over the horizon
-    r1 = [None] * (horizon + 1)
-    r2 = [None] * (horizon + 1)
-    r1[horizon] = np.zeros((n, n), dtype=_X)
-    r2[horizon] = np.zeros((n, n), dtype=_X)
-    eye_n = np.eye(n, dtype=_X)
-    for k in range(horizon - 1, -1, -1):
-        ai = sol.pipe.Ainv[k]
-        r1[k] = symmetrize(ai @ (r1[k + 1] + b_seq[k] @ b_seq[k].T) @ ai.T)
-        aqi = solve_linear(acl_seq[k], eye_n)
-        r2[k] = symmetrize(aqi @ (r2[k + 1] + bhalf_seq[k] @ bhalf_seq[k].T) @ aqi.T)
+    # coupled-Gramian identity: R1 + R1 Q^{-1} R2 - R2 = 0 over the horizon, with
+    # R1, R2 the controllability Gramians of [k, N] of the reference and optimal
+    # processes; R1 = Phi(k, 0) Gc^{1/2} (I - gcn_k) Gc^{1/2} Phi(k, 0)^T in the
+    # normalized coordinates and R2 = Phi_Q(k, N) G_r,Q(N, k) Phi_Q(k, N)^T
     res_gramian = 0.0
     for k in range(horizon + 1):
-        jk = r1[k] + r1[k] @ solve_linear(sol.Q[k], r2[k]) - r2[k]
-        scale = max(float(np.linalg.norm(_f64(r1[k]))), float(np.linalg.norm(_f64(r2[k]))))
+        r1 = symmetrize(pipe.mk[k] @ (pipe.gcn[horizon] - pipe.gcn[k]) @ pipe.mk[k].T)
+        phi_q = opt_pieces.phi_n[k]
+        r2 = symmetrize(solve_linear(phi_q, solve_linear(phi_q, opt_pieces.gr[k]).T))
+        jk = r1 + r1 @ solve_linear(sol.Q[k], r2) - r2
+        scale = max(float(np.linalg.norm(_f64(r1))), float(np.linalg.norm(_f64(r2))))
         res_gramian = max(res_gramian, float(np.linalg.norm(_f64(jk))) / (1.0 + scale))
 
     # pinned-dynamics equality of the reference and optimal processes
-    ref_pieces = _PinnedPieces(a_seq, b_seq)
-    opt_pieces = _PinnedPieces(acl_seq, bhalf_seq)
     res_feed = res_cl = res_noise = 0.0
     for k in range(horizon):
         res_feed = max(res_feed, _rel(ref_pieces.D[k] - opt_pieces.D[k], ref_pieces.D[k]))
@@ -476,13 +459,13 @@ def bridge_verify(
     for k in range(horizon):
         s_ref = symmetrize(b_seq[k] @ b_seq[k].T)
         s_opt = symmetrize(bhalf_seq[k] @ bhalf_seq[k].T)
-        w_ref, _ = sym_eig(s_ref)
+        w_ref, v_ref = sym_eig(s_ref)
         rank = int(np.sum(w_ref > INVERTIBILITY_RCOND * max(1.0, float(w_ref[-1]))))
         if rank == 0:
             continue
         w_opt = sym_eig(s_opt)[0]
-        s_ref_pinv = pinv_sym(s_ref)
-        delta = b_seq[k] @ _xd(sol.K[k])
+        s_ref_pinv = (v_ref[:, -rank:] / w_ref[-rank:]) @ v_ref[:, -rank:].T
+        delta = b_seq[k] @ sol.K[k]
         step = (
             np.sum(np.log(w_ref[-rank:]))
             - np.sum(np.log(w_opt[-rank:]))
@@ -530,19 +513,11 @@ def coupling_objective(sys: LinearSystemModel, sigma0, sigma_terminal, y) -> flo
     sig0 = _xd(_cov_of(sigma0))
     sig_t = _xd(_cov_of(sigma_terminal))
     y = _xd(y)
-    n = sys.n
-    phi = np.eye(n, dtype=_X)
-    a = _xd(sys.A)
-    b = _xd(sys.B)
-    gr = np.zeros((n, n), dtype=_X)
-    for k in range(sys.horizon - 1, -1, -1):
-        w = phi @ b[k]
-        gr = gr + w @ w.T
-        phi = phi @ a[k]
+    phi, gr = _backward_sweep(_xd(sys.A), _xd(sys.B))
     schur = symmetrize(sig_t - y @ solve_linear(sig0, y.T))
     w = sym_eig(schur)[0]
     if w[0] <= 0:
         raise NotPD("cross-covariance is infeasible for the boundary marginals")
     logdet = float(np.sum(np.log(w)))
-    trace_term = float(np.trace(phi.T @ solve_linear(symmetrize(gr), y)))
+    trace_term = float(np.trace(phi[0].T @ solve_linear(gr[0], y)))
     return logdet + 2.0 * trace_term

@@ -13,6 +13,11 @@ original-coordinate sequences. Horizons with strongly unstable dynamics
 still amplify boundary round-off through the coordinate map, so the whole
 pipeline runs in extended precision (``np.longdouble``) and results are
 rounded to float64 once at the end.
+
+This module builds no transition product or Gramian of its own: they come
+from :mod:`maxent_steer.system`, whose feasibility check builds the
+normalized ``_Pipeline`` once per solve; mean steering reads
+``_backward_sweep``.
 """
 
 from __future__ import annotations
@@ -26,23 +31,30 @@ from .errors import (
     DimensionMismatch,
     InfeasibleProblem,
     NonpositiveEpsilon,
-    SingularA,
     SingularGramian,
 )
 from .linalg import (
     GaussianMarginal,
     SymMatrix,
-    as_sym,
     definiteness,
     inv,
-    psd_sqrt_raw,
     rcond_sym,
     solve_linear,
     sym_eig,
     symmetrize,
 )
 from .lqr import AffineGaussianPolicy
-from .system import INVERTIBILITY_RCOND, LinearSystemModel, validate_assumptions
+from .system import (
+    INVERTIBILITY_RCOND,
+    LinearSystemModel,
+    _backward_sweep,
+    _cov_of,
+    _f64,
+    _Pipeline,
+    _validate,
+    _X,
+    _xd,
+)
 
 __all__ = [
     "GaussianMarginal",
@@ -54,22 +66,6 @@ __all__ = [
     "mean_steering",
     "general_policy",
 ]
-
-_X = np.longdouble
-
-
-def _xd(a) -> np.ndarray:
-    return np.asarray(a, dtype=_X)
-
-
-def _f64(a) -> np.ndarray:
-    return np.asarray(a, dtype=np.float64)
-
-
-def _cov_of(boundary) -> np.ndarray:
-    if isinstance(boundary, GaussianMarginal):
-        return boundary.cov.data
-    return as_sym(boundary).data
 
 
 @dataclass(frozen=True)
@@ -91,135 +87,66 @@ class LyapunovPair:
     """Minus-branch solution of the coupled Lyapunov boundary problem.
 
     ``P`` and ``Q`` stack the N+1 matrices of the two sequences. The solver
-    also caches the per-step gate matrices, feedback gains, and unit-weight
+    also returns the per-step gate matrices, feedback gains, and unit-weight
     noise covariances it computed at extended precision; policy
-    construction reuses them instead of re-deriving them from the rounded
+    construction reads them instead of re-deriving them from the rounded
     sequences.
     """
 
     P: np.ndarray
     Q: np.ndarray
+    gates: np.ndarray
+    gains: np.ndarray
+    noise_base: np.ndarray
     branch: str = "minus"
-    gates: np.ndarray | None = None
-    gains: np.ndarray | None = None
-    noise_base: np.ndarray | None = None
 
     @property
     def horizon(self) -> int:
         return self.P.shape[0] - 1
 
 
-class _Pipeline:
-    """Extended-precision transition products and Gramian roots for one system."""
-
-    def __init__(self, sys: LinearSystemModel, epsilon: float):
-        if epsilon <= 0:
-            raise NonpositiveEpsilon(f"epsilon must be positive, got {epsilon}")
-        self.sys = sys
-        self.eps = _X(epsilon)
-        self.A = _xd(sys.A)
-        self.B = _xd(sys.B)
-        n = sys.n
-        eye = np.eye(n, dtype=_X)
-        self.Ainv = []
-        for k in range(sys.horizon):
-            try:
-                self.Ainv.append(solve_linear(self.A[k], eye))
-            except np.linalg.LinAlgError:
-                raise SingularA(k) from None
-        # Phi(0, k) for k = 0..N and the controllability Gramian of [0, N]
-        self.Phi0 = [eye]
-        gc = np.zeros((n, n), dtype=_X)
-        for k in range(sys.horizon):
-            self.Phi0.append(self.Phi0[-1] @ self.Ainv[k])
-            w = self.Phi0[-1] @ self.B[k]
-            gc = gc + w @ w.T
-        self.Gc = symmetrize(gc)
-        if rcond_sym(self.Gc) <= INVERTIBILITY_RCOND:
-            raise SingularGramian(
-                "controllability Gramian of the full horizon is singular at tolerance"
-            )
-        w, v = sym_eig(self.Gc)
-        self.Gch = symmetrize((v * np.sqrt(w)) @ v.T)
-        self.Gcih = symmetrize((v / np.sqrt(w)) @ v.T)
-
-    def normalized(self, sigma0, sigma_terminal):
-        n = self.sys.n
-        eye = np.eye(n, dtype=_X)
-        s0 = symmetrize(self.Gcih @ _xd(sigma0) @ self.Gcih) / self.eps
-        phi0n = self.Phi0[self.sys.horizon]
-        sn = symmetrize(self.Gcih @ phi0n @ _xd(sigma_terminal) @ phi0n.T @ self.Gcih) / self.eps
-        s0h = psd_sqrt_raw(s0)
-        root = psd_sqrt_raw(s0h @ sn @ s0h + eye / 4)
-        f_core = s0 + eye / 2 - root
-        b_core = -s0 + eye / 2 + root
-        return s0, sn, s0h, f_core, b_core
-
-
 class _MinusSolution:
     """Extended-precision minus-branch solution over the whole horizon.
 
     Carries, all in ``np.longdouble``: the original-coordinate sequences
-    ``P[k]``, ``Q[k]``; per step the gate matrix, feedback gain, and
-    unit-weight noise covariance; and closed-loop matrices ``A_cl[k]`` and
-    noise input ``B_half[k] = B_k gate_k^{-1/2}``.
+    ``P[k]``, ``Q[k]`` and, per step, the gate matrix, feedback gain, and
+    unit-weight noise covariance.
     """
 
-    def __init__(self, pipe: _Pipeline, qn0: np.ndarray, pn0: np.ndarray):
-        sys = pipe.sys
-        horizon, n, m = sys.horizon, sys.n, sys.m
+    def __init__(self, pipe: _Pipeline):
+        horizon, m = pipe.sys.horizon, pipe.sys.m
         eye_m = np.eye(m, dtype=_X)
-        self.pipe = pipe
+        qn0 = symmetrize(pipe.s0h @ solve_linear(pipe.f_core, pipe.s0h))
+        pn0 = symmetrize(inv(inv(pipe.s0) - inv(qn0)))
         self.P = []
         self.Q = []
         self.gate = []
         self.K = []
         self.noise_base = []
-        self.A_cl = []
-        self.B_half = []
-        gcn = np.zeros((n, n), dtype=_X)  # normalized controllability sum over [0, k]
-        phic = pipe.Gcih.copy()  # Gc^{-1/2} Phi(0, k)
-        mk = pipe.Gch.copy()  # Phi(k, 0) Gc^{1/2}
         for k in range(horizon + 1):
+            mk, gcn = pipe.mk[k], pipe.gcn[k]
             self.Q.append(symmetrize(mk @ (qn0 - gcn) @ mk.T))
             self.P.append(symmetrize(mk @ (pn0 + gcn) @ mk.T))
             if k == horizon:
                 break
-            phic_next = phic @ pipe.Ainv[k]
-            bn = phic_next @ pipe.B[k]
-            gcn_next = gcn + bn @ bn.T
-            qn_next = qn0 - gcn_next
+            bn = pipe.bn[k]
             try:
-                y = solve_linear(qn_next, bn)
-                z = solve_linear(qn_next, phic)
+                # one solve with the normalized Q_{k+1} for both right-hand sides
+                yz = solve_linear(qn0 - pipe.gcn[k + 1], np.hstack([bn, pipe.phic[k]]))
             except np.linalg.LinAlgError:
                 raise BranchDegenerate(
                     k, f"normalized solution is singular after step {k}"
                 ) from None
-            gate = symmetrize(eye_m + bn.T @ y)
+            gate = symmetrize(eye_m + bn.T @ yz[:, :m])
             rep = definiteness(_f64(gate))
             if not rep.is_pd:
                 raise BranchDegenerate(
                     k, f"gate at step {k} has min eigenvalue {rep.min_eig:.3e}"
                 )
-            kk = -solve_linear(gate, bn.T @ z)
             base = symmetrize(solve_linear(gate, eye_m))
             self.gate.append(gate)
-            self.K.append(kk)
+            self.K.append(-base @ (bn.T @ yz[:, m:]))
             self.noise_base.append(base)
-            self.A_cl.append(pipe.A[k] + pipe.B[k] @ kk)
-            self.B_half.append(pipe.B[k] @ psd_sqrt_raw(base))
-            gcn, phic, mk = gcn_next, phic_next, pipe.A[k] @ mk
-
-
-def _minus_solution_x(
-    sys: LinearSystemModel, sigma0, sigma_terminal, epsilon: float
-) -> _MinusSolution:
-    pipe = _Pipeline(sys, epsilon)
-    s0, _, s0h, f_core, _ = pipe.normalized(sigma0, sigma_terminal)
-    qn0 = symmetrize(s0h @ solve_linear(f_core, s0h))
-    pn0 = symmetrize(inv(inv(s0) - inv(qn0)))
-    return _MinusSolution(pipe, qn0, pn0)
 
 
 def normalized_boundary(
@@ -233,13 +160,12 @@ def normalized_boundary(
     factors decide solvability. Requires invertible dynamics and an
     invertible full-horizon controllability Gramian.
     """
-    pipe = _Pipeline(sys, epsilon)
-    s0, sn, _, f_core, b_core = pipe.normalized(_cov_of(sigma0), _cov_of(sigma_terminal))
+    pipe = _Pipeline(sys, epsilon, _cov_of(sigma0), _cov_of(sigma_terminal))
     return NormalizedBoundary(
-        S0=SymMatrix(_f64(s0)),
-        SN=SymMatrix(_f64(sn)),
-        F_mat=SymMatrix(_f64(f_core)),
-        B_mat=SymMatrix(_f64(b_core)),
+        S0=SymMatrix(_f64(pipe.s0)),
+        SN=SymMatrix(_f64(pipe.sn)),
+        F_mat=SymMatrix(_f64(pipe.f_core)),
+        B_mat=SymMatrix(_f64(pipe.b_core)),
     )
 
 
@@ -262,16 +188,15 @@ def solve_coupled_lyapunov(
         w = np.linalg.eigvalsh(cov)
         if w[0] <= INVERTIBILITY_RCOND * max(1.0, abs(float(w[-1]))):
             raise InfeasibleProblem(f"{name} covariance must be positive definite")
-    report = validate_assumptions(sys, sig0, sig_t, epsilon)
+    report, pipe = _validate(sys, sig0, sig_t, epsilon)
     if not report.feasible:
         raise InfeasibleProblem(
             "; ".join(report.diagnostics) or "solvability assumptions fail", report
         )
-    sol = _minus_solution_x(sys, sig0, sig_t, epsilon)
+    sol = _MinusSolution(pipe)
     return LyapunovPair(
         P=_f64(np.stack(sol.P)),
         Q=_f64(np.stack(sol.Q)),
-        branch="minus",
         gates=_f64(np.stack(sol.gate)),
         gains=_f64(np.stack(sol.K)),
         noise_base=_f64(np.stack(sol.noise_base)),
@@ -284,32 +209,16 @@ def optimal_density_policy(
     """Zero-mean optimal density-control policy from a solved Lyapunov pair.
 
     K_k = -(I + B_k^T Q_{k+1}^{-1} B_k)^{-1} B_k^T Q_{k+1}^{-1} A_k,
-    c_k = 0, and noise covariance eps (I + B_k^T Q_{k+1}^{-1} B_k)^{-1}.
-    Uses the solver-cached extended-precision gains when available.
+    c_k = 0, and noise covariance eps (I + B_k^T Q_{k+1}^{-1} B_k)^{-1},
+    read from the gains and noise covariances the solver computed at
+    extended precision.
     """
     if epsilon <= 0:
         raise NonpositiveEpsilon(f"epsilon must be positive, got {epsilon}")
     horizon, n, m = sys.horizon, sys.n, sys.m
     if lyap.P.shape != (horizon + 1, n, n):
         raise DimensionMismatch("Lyapunov pair does not match the system")
-    if lyap.gains is not None and lyap.noise_base is not None:
-        return AffineGaussianPolicy(
-            lyap.gains, np.zeros((horizon, m)), epsilon * lyap.noise_base
-        )
-    gains = np.zeros((horizon, m, n))
-    covs = np.zeros((horizon, m, m))
-    eye_m = np.eye(m)
-    for k in range(horizon):
-        qinv_b = np.linalg.solve(lyap.Q[k + 1], sys.B[k])
-        gate = symmetrize(eye_m + sys.B[k].T @ qinv_b)
-        rep = definiteness(gate)
-        if not rep.is_pd:
-            raise BranchDegenerate(
-                k, f"gate at step {k} has min eigenvalue {rep.min_eig:.3e}"
-            )
-        gains[k] = -np.linalg.solve(gate, qinv_b.T @ sys.A[k])
-        covs[k] = epsilon * symmetrize(np.linalg.inv(gate))
-    return AffineGaussianPolicy(gains, np.zeros((horizon, m)), covs)
+    return AffineGaussianPolicy(lyap.gains, np.zeros((horizon, m)), epsilon * lyap.noise_base)
 
 
 def mean_steering(sys: LinearSystemModel, mu0, mu_terminal):
@@ -331,19 +240,10 @@ def mean_steering(sys: LinearSystemModel, mu0, mu_terminal):
         raise DimensionMismatch("boundary means have wrong dimension")
     a = _xd(sys.A)
     b = _xd(sys.B)
-    phi_n = [None] * (horizon + 1)  # Phi(N, k)
-    phi_n[horizon] = np.eye(n, dtype=_X)
-    for k in range(horizon - 1, -1, -1):
-        phi_n[k] = phi_n[k + 1] @ a[k]
-    gr = np.zeros((n, n), dtype=_X)
-    for k in range(horizon):
-        w = phi_n[k + 1] @ b[k]
-        gr = gr + w @ w.T
-    gr = symmetrize(gr)
-    if rcond_sym(gr) <= INVERTIBILITY_RCOND:
+    phi_n, gr = _backward_sweep(a, b)
+    if rcond_sym(gr[0]) <= INVERTIBILITY_RCOND:
         raise SingularGramian("reachability Gramian of the full horizon is singular")
-    defect = _xd(mu_t) - phi_n[0] @ _xd(mu0)
-    y = solve_linear(gr, defect)
+    y = solve_linear(gr[0], _xd(mu_t) - phi_n[0] @ _xd(mu0))
     ubar = np.zeros((horizon, m), dtype=_X)
     mu = np.zeros((horizon + 1, n), dtype=_X)
     mu[0] = _xd(mu0)
@@ -369,13 +269,18 @@ def general_policy(
     Boundary moments beyond mean and covariance are irrelevant: the same
     policy is optimal for any boundary laws with these first two moments.
     """
+    return _general_policy_and_pair(sys, initial, terminal, epsilon)[0]
+
+
+def _general_policy_and_pair(sys, initial, terminal, epsilon):
+    """:func:`general_policy` together with the :class:`LyapunovPair` it solved."""
     lyap = solve_coupled_lyapunov(sys, initial.cov, terminal.cov, epsilon)
     base = optimal_density_policy(sys, lyap, epsilon)
     if not (np.any(initial.mean) or np.any(terminal.mean)):
-        return base
+        return base, lyap
     ubar, mu = mean_steering(sys, initial.mean, terminal.mean)
     feed = ubar - np.einsum("kmn,kn->km", base.gains, mu[:-1])
-    return AffineGaussianPolicy(base.gains, feed, base.noise_covs)
+    return AffineGaussianPolicy(base.gains, feed, base.noise_covs), lyap
 
 
 # ---------------------------------------------------------------------------
@@ -391,35 +296,26 @@ def _plus_branch_gates(sys: LinearSystemModel, sigma0, sigma_terminal, epsilon: 
     minimum eigenvalue of each gate computed where defined. Test harness
     use only; the solver never selects this branch.
     """
-    pipe = _Pipeline(sys, epsilon)
-    s0, _, s0h, f_core, _ = pipe.normalized(_cov_of(sigma0), _cov_of(sigma_terminal))
-    eye_n = np.eye(sys.n, dtype=_X)
-    core_plus = 2 * s0 + eye_n - f_core  # S0 + I/2 + root
-    qn0 = symmetrize(s0h @ solve_linear(core_plus, s0h))
-
+    pipe = _Pipeline(sys, epsilon, _cov_of(sigma0), _cov_of(sigma_terminal))
     horizon, n, m = sys.horizon, sys.n, sys.m
+    core_plus = 2 * pipe.s0 + np.eye(n, dtype=_X) - pipe.f_core  # S0 + I/2 + root
+    qn0 = symmetrize(pipe.s0h @ solve_linear(core_plus, pipe.s0h))
+
     q_seq = np.zeros((horizon + 1, n, n))
     gate_min = np.full(horizon, np.nan)
     invertible = True
-    gcn = np.zeros((n, n), dtype=_X)
-    phic = pipe.Gcih.copy()
-    mk = pipe.Gch.copy()
     for k in range(horizon + 1):
-        qk = symmetrize(mk @ (qn0 - gcn) @ mk.T)
-        q_seq[k] = _f64(qk)
+        mk = pipe.mk[k]
+        q_seq[k] = _f64(symmetrize(mk @ (qn0 - pipe.gcn[k]) @ mk.T))
         if rcond_sym(q_seq[k]) <= INVERTIBILITY_RCOND:
             invertible = False
         if k == horizon:
             break
-        phic_next = phic @ pipe.Ainv[k]
-        bn = phic_next @ pipe.B[k]
-        gcn = gcn + bn @ bn.T
-        qn_next = qn0 - gcn
+        bn = pipe.bn[k]
         try:
-            gate = symmetrize(np.eye(m, dtype=_X) + bn.T @ solve_linear(qn_next, bn))
+            gate = symmetrize(np.eye(m, dtype=_X) + bn.T @ solve_linear(qn0 - pipe.gcn[k + 1], bn))
         except np.linalg.LinAlgError:
             invertible = False
         else:
             gate_min[k] = float(sym_eig(_f64(gate))[0][0])
-        phic, mk = phic_next, pipe.A[k] @ mk
     return q_seq, invertible, gate_min

@@ -4,6 +4,14 @@ Hosts the state-transition matrix, reachability/controllability Gramians,
 and the feasibility validator that checks the standing assumptions of the
 density-steering solver (invertible dynamics, an invertibility window for
 the reachability Gramian, and nonsingular normalized boundary factors).
+
+This module owns the sweeps that accumulate transition products and
+Gramians, and :mod:`~maxent_steer.steering` and :mod:`~maxent_steer.pinned`
+read their per-step matrices from them: :func:`_backward_sweep` gives
+Phi(N, k) and G_r(N, k) in the dtype of its inputs, :func:`_forward_gramians`
+G_r(k, 0), and :class:`_Pipeline` the extended-precision normalized
+coordinates of the density solver. :func:`_a_condition` alone decides
+whether an A_k counts as invertible.
 """
 
 from __future__ import annotations
@@ -12,8 +20,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BadWindow, DimensionMismatch, SingularA, SingularGramian
-from .linalg import SymMatrix, symmetrize
+from .errors import BadWindow, DimensionMismatch, NonpositiveEpsilon, SingularA, SingularGramian
+from .linalg import (
+    GaussianMarginal,
+    SymMatrix,
+    as_sym,
+    psd_sqrt_raw,
+    solve_linear,
+    sym_eig,
+    symmetrize,
+)
 
 __all__ = [
     "LinearSystemModel",
@@ -104,11 +120,43 @@ class LinearSystemModel:
         return LinearSystemModel(self.A, self.B * float(factor), self.horizon)
 
 
-def _inv_checked(a: np.ndarray, step: int) -> np.ndarray:
+#: working precision of the boundary-coupled recursions; results are
+#: rounded to float64 once at the end
+_X = np.longdouble
+
+
+def _xd(a) -> np.ndarray:
+    return np.asarray(a, dtype=_X)
+
+
+def _f64(a) -> np.ndarray:
+    return np.asarray(a, dtype=np.float64)
+
+
+def _cov_of(boundary) -> np.ndarray:
+    if isinstance(boundary, GaussianMarginal):
+        return boundary.cov.data
+    return as_sym(boundary).data
+
+
+def _a_condition(a: np.ndarray):
+    """Invertibility verdict and spectral condition number of each stacked A_k.
+
+    A_k counts as invertible when its smallest singular value exceeds
+    ``INVERTIBILITY_RCOND`` times its largest (condition number inf if zero).
+    """
     s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0 or s[-1] <= INVERTIBILITY_RCOND * s[0]:
-        raise SingularA(step)
-    return np.linalg.inv(a)
+    hi, lo = s[:, 0], s[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = np.where(lo > 0, hi / lo, np.inf)
+    return (hi > 0) & (lo > INVERTIBILITY_RCOND * hi), cond
+
+
+def _require_invertible(a: np.ndarray, first_step: int = 0):
+    """Raise :class:`SingularA` at the first stacked A_k that is not invertible."""
+    ok = _a_condition(a)[0]
+    if not ok.all():
+        raise SingularA(first_step + int(np.argmin(ok)))
 
 
 def transition(sys: LinearSystemModel, k: int, l: int) -> np.ndarray:
@@ -126,8 +174,9 @@ def transition(sys: LinearSystemModel, k: int, l: int) -> np.ndarray:
         for j in range(l, k):
             out = sys.A[j] @ out
     elif k < l:
+        _require_invertible(sys.A[k:l], k)
         for j in range(k, l):
-            out = out @ _inv_checked(sys.A[j], j)
+            out = out @ np.linalg.inv(sys.A[j])
     return out
 
 
@@ -138,6 +187,34 @@ def _check_window(sys: LinearSystemModel, k1: int, k0: int):
         raise BadWindow(f"Gramian window needs k0 < k1, got k0={k0}, k1={k1}")
 
 
+def _forward_gramians(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """G_r(k, 0) for k = 0..N by the recursion G <- A_k G A_k^T + B_k B_k^T."""
+    g = np.zeros((a.shape[0] + 1,) + a.shape[1:], dtype=a.dtype)
+    for k in range(a.shape[0]):
+        g[k + 1] = symmetrize(a[k] @ g[k] @ a[k].T + b[k] @ b[k].T)
+    return g
+
+
+def _backward_sweep(a, b):
+    """Phi(N, k) and G_r(N, k) for k = 0..N, stacked, in the dtype of ``a``.
+
+    ``a`` and ``b`` hold the N steps (stacked arrays or lists of matrices).
+    G_r(N, k) = G_r(N, k+1) + Phi(N, k+1) B_k B_k^T Phi(N, k+1)^T needs no
+    inverse, so singular steps are allowed.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b, dtype=a.dtype)
+    horizon, n = a.shape[0], a.shape[1]
+    phi = np.empty((horizon + 1, n, n), dtype=a.dtype)
+    gr = np.zeros_like(phi)
+    phi[horizon] = np.eye(n)
+    for k in range(horizon - 1, -1, -1):
+        w = phi[k + 1] @ b[k]
+        gr[k] = symmetrize(gr[k + 1] + w @ w.T)
+        phi[k] = phi[k + 1] @ a[k]
+    return phi, gr
+
+
 def reachability_gramian(sys: LinearSystemModel, k1: int, k0: int) -> SymMatrix:
     """Reachability Gramian of the window [k0, k1].
 
@@ -145,11 +222,7 @@ def reachability_gramian(sys: LinearSystemModel, k1: int, k0: int) -> SymMatrix:
     forward recursion G <- A_k G A_k^T + B_k B_k^T in O(k1 - k0) products.
     """
     _check_window(sys, k1, k0)
-    g = np.zeros((sys.n, sys.n))
-    for k in range(k0, k1):
-        g = sys.A[k] @ g @ sys.A[k].T + sys.B[k] @ sys.B[k].T
-        g = symmetrize(g)
-    return SymMatrix(g)
+    return SymMatrix(_forward_gramians(sys.A[k0:k1], sys.B[k0:k1])[-1])
 
 
 def controllability_gramian(sys: LinearSystemModel, k1: int, k0: int) -> SymMatrix:
@@ -160,10 +233,11 @@ def controllability_gramian(sys: LinearSystemModel, k1: int, k0: int) -> SymMatr
     the window to be invertible.
     """
     _check_window(sys, k1, k0)
+    _require_invertible(sys.A[k0:k1], k0)
     g = np.zeros((sys.n, sys.n))
     phi = np.eye(sys.n)  # Phi(k0, k)
     for k in range(k0, k1):
-        phi = phi @ _inv_checked(sys.A[k], k)  # Phi(k0, k+1)
+        phi = phi @ np.linalg.inv(sys.A[k])  # Phi(k0, k+1)
         w = phi @ sys.B[k]
         g += w @ w.T
     return SymMatrix(g)
@@ -192,6 +266,62 @@ class FeasibilityReport:
         return all(self.a_step_invertible)
 
 
+class _Pipeline:
+    """Extended-precision normalized coordinates of one system.
+
+    The state y_k = phic[k] x_k with ``phic[k]`` = Gc^{-1/2} Phi(0, k) (Gc the
+    full-horizon controllability Gramian) follows the pure integrator
+    y_{k+1} = y_k + bn_k u_k. Kept per step: ``phic[k]``, its inverse
+    ``mk[k]`` = Phi(k, 0) Gc^{1/2}, the input columns ``bn[k]`` = phic[k+1] B_k
+    and their partial sums ``gcn[k]`` = sum_{j<k} bn_j bn_j^T (gcn[N] = I up
+    to round-off). Given boundary covariances it also holds the normalized
+    boundary ``s0``, ``sn``, ``s0h`` = s0^{1/2} and the forward and backward
+    factors ``f_core`` + ``b_core`` = I.
+    """
+
+    def __init__(self, sys: LinearSystemModel, epsilon=1.0, sigma0=None, sigma_terminal=None):
+        if epsilon <= 0:
+            raise NonpositiveEpsilon(f"epsilon must be positive, got {epsilon}")
+        self.sys = sys
+        self.A = _xd(sys.A)
+        self.B = _xd(sys.B)
+        horizon, n = sys.horizon, sys.n
+        eye = np.eye(n, dtype=_X)
+        # Phi(0, k) for k = 0..N and the controllability Gramian of [0, N]
+        phi0 = [eye]
+        gc = np.zeros((n, n), dtype=_X)
+        for k in range(horizon):
+            try:
+                phi0.append(phi0[-1] @ solve_linear(self.A[k], eye))
+            except np.linalg.LinAlgError:
+                raise SingularA(k) from None
+            w = phi0[-1] @ self.B[k]
+            gc = gc + w @ w.T
+        w, v = sym_eig(symmetrize(gc))
+        if np.abs(w).min() <= INVERTIBILITY_RCOND * np.abs(w).max():
+            raise SingularGramian(
+                "controllability Gramian of the full horizon is singular at tolerance"
+            )
+        gcih = symmetrize((v / np.sqrt(w)) @ v.T)
+        self.phic = [gcih @ p for p in phi0]
+        self.mk = [symmetrize((v * np.sqrt(w)) @ v.T)]
+        self.bn = []
+        self.gcn = [np.zeros((n, n), dtype=_X)]
+        for k in range(horizon):
+            self.bn.append(self.phic[k + 1] @ self.B[k])
+            self.gcn.append(symmetrize(self.gcn[k] + self.bn[k] @ self.bn[k].T))
+            self.mk.append(self.A[k] @ self.mk[k])
+        if sigma0 is None:
+            return
+        pn = self.phic[horizon]
+        self.s0 = symmetrize(gcih @ _xd(sigma0) @ gcih) / _X(epsilon)
+        self.sn = symmetrize(pn @ _xd(sigma_terminal) @ pn.T) / _X(epsilon)
+        self.s0h = psd_sqrt_raw(self.s0)
+        root = psd_sqrt_raw(self.s0h @ self.sn @ self.s0h + eye / 4)
+        self.f_core = self.s0 + eye / 2 - root
+        self.b_core = -self.s0 + eye / 2 + root
+
+
 def _psd_invertible(g: np.ndarray) -> bool:
     w = np.linalg.eigvalsh(symmetrize(g))
     return w[-1] > 0 and w[0] > INVERTIBILITY_RCOND * w[-1]
@@ -216,39 +346,29 @@ def validate_assumptions(
 
     Never raises; the result is a report.
     """
-    n, horizon = sys.n, sys.horizon
+    return _validate(sys, sigma0, sigma_terminal, epsilon)[0]
+
+
+def _validate(sys: LinearSystemModel, sigma0, sigma_terminal, epsilon: float):
+    """:func:`validate_assumptions` plus the :class:`_Pipeline` its boundary check built.
+
+    A feasible report with boundary covariances always comes with its
+    pipeline (otherwise the pipeline may be None), so the solver and the
+    bridge check reuse it instead of normalizing a second time.
+    """
+    horizon = sys.horizon
     diagnostics = []
 
-    a_ok, a_cond = [], []
-    for k in range(horizon):
-        s = np.linalg.svd(sys.A[k], compute_uv=False)
-        ok = s[0] > 0 and s[-1] > INVERTIBILITY_RCOND * s[0]
-        a_ok.append(bool(ok))
-        a_cond.append(float(s[0] / s[-1]) if s[-1] > 0 else float("inf"))
-        if not ok:
-            diagnostics.append(f"A_{k} is singular at tolerance (cond ~ {a_cond[-1]:.2e})")
+    a_ok, a_cond = _a_condition(sys.A)
+    for k in np.flatnonzero(~a_ok):
+        diagnostics.append(f"A_{k} is singular at tolerance (cond ~ {a_cond[k]:.2e})")
 
-    # forward Gramians G_r(k, 0) for k = 1..N and backward G_r(N, k) for k = N-1..0
-    fwd_ok = {}
-    g = np.zeros((n, n))
-    for k in range(horizon):
-        g = symmetrize(sys.A[k] @ g @ sys.A[k].T + sys.B[k] @ sys.B[k].T)
-        fwd_ok[k + 1] = _psd_invertible(g)
-
-    bwd_ok = {}
-    g = np.zeros((n, n))
-    phi = np.eye(n)  # Phi(N, k+1)
-    for k in range(horizon - 1, -1, -1):
-        w = phi @ sys.B[k]
-        g = symmetrize(g + w @ w.T)
-        bwd_ok[k] = _psd_invertible(g)  # G_r(N, k)
-        phi = phi @ sys.A[k]
-
+    # forward Gramians G_r(k, 0) and backward G_r(N, k), both for k = 0..N
+    fwd_ok = [_psd_invertible(g) for g in _forward_gramians(sys.A, sys.B)]
+    bwd_ok = [_psd_invertible(g) for g in _backward_sweep(sys.A, sys.B)[1]]
     window = None
     for kr in range(1, horizon + 1):
-        if all(fwd_ok[k] for k in range(kr, horizon + 1)) and all(
-            bwd_ok[k] for k in range(0, kr)
-        ):
+        if all(fwd_ok[kr:]) and all(bwd_ok[:kr]):
             window = kr
             break
     if window is None:
@@ -256,19 +376,18 @@ def validate_assumptions(
 
     f_min = float("nan")
     b_min = float("nan")
+    pipe = None
     boundary_ok = True
     has_boundary = sigma0 is not None and sigma_terminal is not None
-    if has_boundary and all(a_ok) and window is not None:
-        from .steering import normalized_boundary  # cycle-free at call time
-
+    if has_boundary and a_ok.all() and window is not None:
         try:
-            nb = normalized_boundary(sys, sigma0, sigma_terminal, epsilon)
+            pipe = _Pipeline(sys, epsilon, _cov_of(sigma0), _cov_of(sigma_terminal))
         except (SingularGramian, SingularA) as exc:
             boundary_ok = False
             diagnostics.append(f"normalized boundary not computable: {exc}")
         else:
-            sf = np.linalg.svd(nb.F_mat.data, compute_uv=False)
-            sb = np.linalg.svd(nb.B_mat.data, compute_uv=False)
+            sf = np.linalg.svd(_f64(pipe.f_core), compute_uv=False)
+            sb = np.linalg.svd(_f64(pipe.b_core), compute_uv=False)
             f_min, b_min = float(sf[-1]), float(sb[-1])
             if f_min <= BOUNDARY_FACTOR_RCOND * max(1.0, float(sf[0])):
                 boundary_ok = False
@@ -287,13 +406,14 @@ def validate_assumptions(
     elif has_boundary:
         boundary_ok = False
 
-    feasible = all(a_ok) and window is not None and boundary_ok
-    return FeasibilityReport(
-        a_step_invertible=tuple(a_ok),
-        a_condition_numbers=tuple(a_cond),
+    feasible = a_ok.all() and window is not None and boundary_ok
+    report = FeasibilityReport(
+        a_step_invertible=tuple(bool(ok) for ok in a_ok),
+        a_condition_numbers=tuple(float(c) for c in a_cond),
         gramian_window=window,
         f_matrix_min_singular=f_min,
         b_matrix_min_singular=b_min,
         feasible=bool(feasible),
         diagnostics=tuple(diagnostics),
     )
+    return report, pipe
