@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndefiniteInput, NotPD, SingularBlock
+from .errors import DimensionMismatch, IndefiniteInput, SingularBlock
 
 __all__ = [
     "SymMatrix",
@@ -265,14 +265,6 @@ def psd_sqrt_raw(m: np.ndarray, snap_tol: float = 0.0) -> np.ndarray:
     if snap_tol > 0 and w.size:
         w = np.where(w <= snap_tol * max(1.0, float(w[-1])), 0, w)
     return symmetrize((v * np.sqrt(w)) @ v.T)
-
-
-def inv_sqrt_pd(m: np.ndarray) -> np.ndarray:
-    """Inverse square root of a symmetric positive definite matrix."""
-    w, v = sym_eig(np.asarray(m))
-    if w[0] <= 0:
-        raise NotPD(f"matrix is not positive definite (min eigenvalue {w[0]:.3e})")
-    return symmetrize((v / np.sqrt(w)) @ v.T)
 
 
 def pinv_sym(m: np.ndarray, rcond: float = PINV_RCOND) -> np.ndarray:

@@ -157,13 +157,12 @@ def lqr_policy(
         gains[k] = -np.linalg.solve(ric.gates[k], sys.B[k].T @ ric.Pi[k + 1] @ sys.A[k])
         covs[k] = epsilon * symmetrize(np.linalg.inv(ric.gates[k]))
     feed = np.zeros((horizon, m))
-    target = None if terminal_target is None else np.asarray(terminal_target, dtype=np.float64)
-    if target is not None and np.any(target != 0):
+    if terminal_target is not None and np.any(terminal_target):
         _require_invertible(sys.A)
-        phi = np.eye(n)  # Phi(k, N), built backward from k = N
+        z = np.asarray(terminal_target, dtype=np.float64)  # z_k = Phi(k, N) xbar_N
         for k in range(horizon - 1, -1, -1):
-            phi = np.linalg.inv(sys.A[k]) @ phi
-            feed[k] = -gains[k] @ phi @ target
+            z = np.linalg.solve(sys.A[k], z)
+            feed[k] = -gains[k] @ z
     return AffineGaussianPolicy(gains, feed, covs)
 
 

@@ -43,7 +43,7 @@ from .linalg import (
     symmetrize,
 )
 from .lqr import AffineGaussianPolicy
-from .steering import _MinusSolution
+from .steering import _boundary_covs, _minus_pair
 from .system import (
     INVERTIBILITY_RCOND,
     LinearSystemModel,
@@ -392,10 +392,10 @@ def bridge_verify(
     Runs on the unit-entropy-weight problem; a different weight is first
     absorbed into the input matrix (noted by ``epsilon_normalized``).
     Report-style: an infeasible instance yields NaN residuals and a
-    ``skipped_reason`` instead of an exception.
+    ``skipped_reason`` instead of an exception. A nonpositive ``epsilon``
+    raises :class:`NonpositiveEpsilon`.
     """
-    sig0 = _cov_of(sigma0)
-    sig_t = _cov_of(sigma_terminal)
+    sig0, sig_t, bad = _boundary_covs(sigma0, sigma_terminal, epsilon)
     normalized = epsilon != 1.0
     work = sys.with_input_scaled(np.sqrt(epsilon)) if normalized else sys
 
@@ -405,20 +405,18 @@ def bridge_verify(
             nan, nan, nan, nan, nan, nan, nan, nan, None, normalized, reason
         )
 
-    for name, cov in (("initial", sig0), ("terminal", sig_t)):
-        w = np.linalg.eigvalsh(cov)
-        if w[0] <= INVERTIBILITY_RCOND * max(1.0, abs(float(w[-1]))):
-            return skipped(f"{name} covariance is not positive definite")
+    if bad is not None:
+        return skipped(f"{bad} covariance is not positive definite")
     report, pipe = _validate(work, sig0, sig_t, 1.0)
     if not report.feasible:
         return skipped("; ".join(report.diagnostics) or "solvability assumptions fail")
 
-    sol = _MinusSolution(pipe)
+    lyap = _minus_pair(pipe)
     horizon, n = work.horizon, work.n
     a_seq, b_seq = pipe.A, pipe.B
     # the optimal process: closed loop A_k + B_k K_k driven by B_k gate_k^{-1/2} w_k
-    acl_seq = [a_seq[k] + b_seq[k] @ sol.K[k] for k in range(horizon)]
-    bhalf_seq = [b_seq[k] @ psd_sqrt_raw(sol.noise_base[k]) for k in range(horizon)]
+    acl_seq = [a_seq[k] + b_seq[k] @ lyap.gains[k] for k in range(horizon)]
+    bhalf_seq = [b_seq[k] @ psd_sqrt_raw(_xd(lyap.noise_base[k])) for k in range(horizon)]
     ref_pieces = _PinnedPieces(a_seq, b_seq)
     opt_pieces = _PinnedPieces(acl_seq, bhalf_seq)
     sig0_x = _xd(sig0)
@@ -442,7 +440,7 @@ def bridge_verify(
         r1 = symmetrize(pipe.mk[k] @ (pipe.gcn[horizon] - pipe.gcn[k]) @ pipe.mk[k].T)
         phi_q = opt_pieces.phi_n[k]
         r2 = symmetrize(solve_linear(phi_q, solve_linear(phi_q, opt_pieces.gr[k]).T))
-        jk = r1 + r1 @ solve_linear(sol.Q[k], r2) - r2
+        jk = r1 + r1 @ solve_linear(_xd(lyap.Q[k]), r2) - r2
         scale = max(float(np.linalg.norm(_f64(r1))), float(np.linalg.norm(_f64(r2))))
         res_gramian = max(res_gramian, float(np.linalg.norm(_f64(jk))) / (1.0 + scale))
 
@@ -465,7 +463,7 @@ def bridge_verify(
             continue
         w_opt = sym_eig(s_opt)[0]
         s_ref_pinv = (v_ref[:, -rank:] / w_ref[-rank:]) @ v_ref[:, -rank:].T
-        delta = b_seq[k] @ sol.K[k]
+        delta = b_seq[k] @ lyap.gains[k]
         step = (
             np.sum(np.log(w_ref[-rank:]))
             - np.sum(np.log(w_opt[-rank:]))

@@ -10,9 +10,10 @@ the running system becomes a pure integrator driven by transformed input
 columns: the forward solution is then an exact monotone sum of positive
 semidefinite increments, which is the best-conditioned route back to the
 original-coordinate sequences. Horizons with strongly unstable dynamics
-still amplify boundary round-off through the coordinate map, so the whole
-pipeline runs in extended precision (``np.longdouble``) and results are
-rounded to float64 once at the end.
+still amplify boundary round-off through the coordinate map, so that
+boundary solve runs in extended precision (``np.longdouble``) and is rounded
+to float64 once at the end. The per-step policy then comes from the float64
+Riccati sweep of :mod:`maxent_steer.lqr` from the terminal weight Q_N^{-1}.
 
 This module builds no transition product or Gramian of its own: they come
 from :mod:`maxent_steer.system`, whose feasibility check builds the
@@ -29,6 +30,7 @@ import numpy as np
 from .errors import (
     BranchDegenerate,
     DimensionMismatch,
+    GateNotPD,
     InfeasibleProblem,
     NonpositiveEpsilon,
     SingularGramian,
@@ -36,14 +38,13 @@ from .errors import (
 from .linalg import (
     GaussianMarginal,
     SymMatrix,
-    definiteness,
     inv,
     rcond_sym,
     solve_linear,
     sym_eig,
     symmetrize,
 )
-from .lqr import AffineGaussianPolicy
+from .lqr import AffineGaussianPolicy, lqr_policy, riccati_backward
 from .system import (
     INVERTIBILITY_RCOND,
     LinearSystemModel,
@@ -86,11 +87,11 @@ class NormalizedBoundary:
 class LyapunovPair:
     """Minus-branch solution of the coupled Lyapunov boundary problem.
 
-    ``P`` and ``Q`` stack the N+1 matrices of the two sequences. The solver
-    also returns the per-step gate matrices, feedback gains, and unit-weight
-    noise covariances it computed at extended precision; policy
-    construction reads them instead of re-deriving them from the rounded
-    sequences.
+    ``P`` and ``Q`` stack the N+1 matrices of the two sequences, solved in
+    extended precision. ``gates``, ``gains`` and ``noise_base`` (the
+    unit-weight noise covariances) are the per-step output of the Riccati
+    sweep from the terminal weight Q_N^{-1}; policy construction reads them
+    instead of re-deriving them from the sequences.
     """
 
     P: np.ndarray
@@ -105,48 +106,43 @@ class LyapunovPair:
         return self.P.shape[0] - 1
 
 
-class _MinusSolution:
-    """Extended-precision minus-branch solution over the whole horizon.
+def _minus_pair(pipe: _Pipeline) -> LyapunovPair:
+    """Minus-branch solution of the boundary problem that ``pipe`` normalized.
 
-    Carries, all in ``np.longdouble``: the original-coordinate sequences
-    ``P[k]``, ``Q[k]`` and, per step, the gate matrix, feedback gain, and
-    unit-weight noise covariance.
+    ``P`` and ``Q`` are solved in ``np.longdouble``; the gates, gains and
+    noise covariances come from the Riccati sweep from H_N = Q_N^{-1}, and a
+    gate that is not positive definite raises :class:`BranchDegenerate`.
     """
+    qn0 = symmetrize(pipe.s0h @ solve_linear(pipe.f_core, pipe.s0h))
+    pn0 = symmetrize(inv(inv(pipe.s0) - inv(qn0)))
+    q_seq = [symmetrize(mk @ (qn0 - gcn) @ mk.T) for mk, gcn in zip(pipe.mk, pipe.gcn)]
+    p_seq = [symmetrize(mk @ (pn0 + gcn) @ mk.T) for mk, gcn in zip(pipe.mk, pipe.gcn)]
+    # Q_N is invertible: normalized it is s0h f_core^{-1} (root - I/2) s0h^{-1},
+    # root > I/2, and the feasibility check found f_core invertible
+    try:
+        ric = riccati_backward(pipe.sys, _f64(inv(q_seq[-1])))
+    except GateNotPD as exc:
+        raise BranchDegenerate(exc.step, str(exc)) from None
+    policy = lqr_policy(pipe.sys, ric)
+    return LyapunovPair(
+        P=_f64(p_seq),
+        Q=_f64(q_seq),
+        gates=ric.gates,
+        gains=policy.gains,
+        noise_base=policy.noise_covs,
+    )
 
-    def __init__(self, pipe: _Pipeline):
-        horizon, m = pipe.sys.horizon, pipe.sys.m
-        eye_m = np.eye(m, dtype=_X)
-        qn0 = symmetrize(pipe.s0h @ solve_linear(pipe.f_core, pipe.s0h))
-        pn0 = symmetrize(inv(inv(pipe.s0) - inv(qn0)))
-        self.P = []
-        self.Q = []
-        self.gate = []
-        self.K = []
-        self.noise_base = []
-        for k in range(horizon + 1):
-            mk, gcn = pipe.mk[k], pipe.gcn[k]
-            self.Q.append(symmetrize(mk @ (qn0 - gcn) @ mk.T))
-            self.P.append(symmetrize(mk @ (pn0 + gcn) @ mk.T))
-            if k == horizon:
-                break
-            bn = pipe.bn[k]
-            try:
-                # one solve with the normalized Q_{k+1} for both right-hand sides
-                yz = solve_linear(qn0 - pipe.gcn[k + 1], np.hstack([bn, pipe.phic[k]]))
-            except np.linalg.LinAlgError:
-                raise BranchDegenerate(
-                    k, f"normalized solution is singular after step {k}"
-                ) from None
-            gate = symmetrize(eye_m + bn.T @ yz[:, :m])
-            rep = definiteness(_f64(gate))
-            if not rep.is_pd:
-                raise BranchDegenerate(
-                    k, f"gate at step {k} has min eigenvalue {rep.min_eig:.3e}"
-                )
-            base = symmetrize(solve_linear(gate, eye_m))
-            self.gate.append(gate)
-            self.K.append(-base @ (bn.T @ yz[:, m:]))
-            self.noise_base.append(base)
+
+def _boundary_covs(sigma0, sigma_terminal, epsilon):
+    """The boundary covariances and the name of one that is not PD (None if both are)."""
+    if epsilon <= 0:
+        raise NonpositiveEpsilon(f"epsilon must be positive, got {epsilon}")
+    sig0, sig_t = _cov_of(sigma0), _cov_of(sigma_terminal)
+    for name, cov in (("initial", sig0), ("terminal", sig_t)):
+        w = np.linalg.eigvalsh(cov)
+        if w[0] <= INVERTIBILITY_RCOND * max(1.0, abs(float(w[-1]))):
+            return sig0, sig_t, name
+    return sig0, sig_t, None
 
 
 def normalized_boundary(
@@ -176,31 +172,22 @@ def solve_coupled_lyapunov(
 
     Validates the solvability assumptions first and raises
     :class:`InfeasibleProblem` (with the report attached) when they fail.
-    Both boundary covariances must be positive definite. The returned pair
+    Both boundary covariances must be positive definite, and ``epsilon``
+    positive (:class:`NonpositiveEpsilon` otherwise). The returned pair
     satisfies the two forward recursions, the split boundary conditions,
     and has every gate matrix positive definite; a gate failure raises
     :class:`BranchDegenerate` and indicates violated hypotheses rather than
     a recoverable condition (the plus branch is never a fallback).
     """
-    sig0 = _cov_of(sigma0)
-    sig_t = _cov_of(sigma_terminal)
-    for name, cov in (("initial", sig0), ("terminal", sig_t)):
-        w = np.linalg.eigvalsh(cov)
-        if w[0] <= INVERTIBILITY_RCOND * max(1.0, abs(float(w[-1]))):
-            raise InfeasibleProblem(f"{name} covariance must be positive definite")
+    sig0, sig_t, bad = _boundary_covs(sigma0, sigma_terminal, epsilon)
+    if bad is not None:
+        raise InfeasibleProblem(f"{bad} covariance must be positive definite")
     report, pipe = _validate(sys, sig0, sig_t, epsilon)
     if not report.feasible:
         raise InfeasibleProblem(
             "; ".join(report.diagnostics) or "solvability assumptions fail", report
         )
-    sol = _MinusSolution(pipe)
-    return LyapunovPair(
-        P=_f64(np.stack(sol.P)),
-        Q=_f64(np.stack(sol.Q)),
-        gates=_f64(np.stack(sol.gate)),
-        gains=_f64(np.stack(sol.K)),
-        noise_base=_f64(np.stack(sol.noise_base)),
-    )
+    return _minus_pair(pipe)
 
 
 def optimal_density_policy(
@@ -210,8 +197,8 @@ def optimal_density_policy(
 
     K_k = -(I + B_k^T Q_{k+1}^{-1} B_k)^{-1} B_k^T Q_{k+1}^{-1} A_k,
     c_k = 0, and noise covariance eps (I + B_k^T Q_{k+1}^{-1} B_k)^{-1},
-    read from the gains and noise covariances the solver computed at
-    extended precision.
+    read from the gains and noise covariances of the Riccati sweep that
+    :func:`solve_coupled_lyapunov` ran from Q_N^{-1}.
     """
     if epsilon <= 0:
         raise NonpositiveEpsilon(f"epsilon must be positive, got {epsilon}")
@@ -311,7 +298,7 @@ def _plus_branch_gates(sys: LinearSystemModel, sigma0, sigma_terminal, epsilon: 
             invertible = False
         if k == horizon:
             break
-        bn = pipe.bn[k]
+        bn = pipe.phic[k + 1] @ pipe.B[k]
         try:
             gate = symmetrize(np.eye(m, dtype=_X) + bn.T @ solve_linear(qn0 - pipe.gcn[k + 1], bn))
         except np.linalg.LinAlgError:

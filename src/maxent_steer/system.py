@@ -169,15 +169,10 @@ def transition(sys: LinearSystemModel, k: int, l: int) -> np.ndarray:
     """
     if not (0 <= k <= sys.horizon and 0 <= l <= sys.horizon):
         raise DimensionMismatch(f"steps ({k}, {l}) outside [0, {sys.horizon}]")
-    out = np.eye(sys.n)
-    if k > l:
-        for j in range(l, k):
-            out = sys.A[j] @ out
-    elif k < l:
+    if k < l:
         _require_invertible(sys.A[k:l], k)
-        for j in range(k, l):
-            out = out @ np.linalg.inv(sys.A[j])
-    return out
+        return _pullback_sweep(sys.A[k:l], sys.B[k:l])[0][-1]
+    return _backward_sweep(sys.A[l:k], sys.B[l:k])[0][0]
 
 
 def _check_window(sys: LinearSystemModel, k1: int, k0: int):
@@ -193,6 +188,27 @@ def _forward_gramians(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for k in range(a.shape[0]):
         g[k + 1] = symmetrize(a[k] @ g[k] @ a[k].T + b[k] @ b[k].T)
     return g
+
+
+def _pullback_sweep(a, b):
+    """Phi(0, k) and G_c(k, 0) for k = 0..N, stacked, in the dtype of ``a`` and ``b``.
+
+    G_c(k, 0) = sum_{j<k} Phi(0, j+1) B_j B_j^T Phi(0, j+1)^T. Each step pulls
+    back through a solve with A_k; :class:`SingularA` names a step it fails on.
+    """
+    horizon, n = a.shape[0], a.shape[1]
+    eye = np.eye(n, dtype=a.dtype)
+    phi = np.empty((horizon + 1, n, n), dtype=a.dtype)
+    gc = np.zeros_like(phi)
+    phi[0] = eye
+    for k in range(horizon):
+        try:
+            phi[k + 1] = phi[k] @ solve_linear(a[k], eye)
+        except np.linalg.LinAlgError:
+            raise SingularA(k) from None
+        w = phi[k + 1] @ b[k]
+        gc[k + 1] = gc[k] + w @ w.T
+    return phi, gc
 
 
 def _backward_sweep(a, b):
@@ -234,13 +250,7 @@ def controllability_gramian(sys: LinearSystemModel, k1: int, k0: int) -> SymMatr
     """
     _check_window(sys, k1, k0)
     _require_invertible(sys.A[k0:k1], k0)
-    g = np.zeros((sys.n, sys.n))
-    phi = np.eye(sys.n)  # Phi(k0, k)
-    for k in range(k0, k1):
-        phi = phi @ np.linalg.inv(sys.A[k])  # Phi(k0, k+1)
-        w = phi @ sys.B[k]
-        g += w @ w.T
-    return SymMatrix(g)
+    return SymMatrix(_pullback_sweep(sys.A[k0:k1], sys.B[k0:k1])[1][-1])
 
 
 @dataclass(frozen=True)
@@ -271,10 +281,10 @@ class _Pipeline:
 
     The state y_k = phic[k] x_k with ``phic[k]`` = Gc^{-1/2} Phi(0, k) (Gc the
     full-horizon controllability Gramian) follows the pure integrator
-    y_{k+1} = y_k + bn_k u_k. Kept per step: ``phic[k]``, its inverse
-    ``mk[k]`` = Phi(k, 0) Gc^{1/2}, the input columns ``bn[k]`` = phic[k+1] B_k
-    and their partial sums ``gcn[k]`` = sum_{j<k} bn_j bn_j^T (gcn[N] = I up
-    to round-off). Given boundary covariances it also holds the normalized
+    y_{k+1} = y_k + bn_k u_k with input columns bn_k = phic[k+1] B_k. Kept per
+    step: ``phic[k]``, its inverse ``mk[k]`` = Phi(k, 0) Gc^{1/2} and the
+    partial sums ``gcn[k]`` = sum_{j<k} bn_j bn_j^T (gcn[N] = I up to
+    round-off). Given boundary covariances it also holds the normalized
     boundary ``s0``, ``sn``, ``s0h`` = s0^{1/2} and the forward and backward
     factors ``f_core`` + ``b_core`` = I.
     """
@@ -287,17 +297,8 @@ class _Pipeline:
         self.B = _xd(sys.B)
         horizon, n = sys.horizon, sys.n
         eye = np.eye(n, dtype=_X)
-        # Phi(0, k) for k = 0..N and the controllability Gramian of [0, N]
-        phi0 = [eye]
-        gc = np.zeros((n, n), dtype=_X)
-        for k in range(horizon):
-            try:
-                phi0.append(phi0[-1] @ solve_linear(self.A[k], eye))
-            except np.linalg.LinAlgError:
-                raise SingularA(k) from None
-            w = phi0[-1] @ self.B[k]
-            gc = gc + w @ w.T
-        w, v = sym_eig(symmetrize(gc))
+        phi0, gc = _pullback_sweep(self.A, self.B)
+        w, v = sym_eig(symmetrize(gc[horizon]))
         if np.abs(w).min() <= INVERTIBILITY_RCOND * np.abs(w).max():
             raise SingularGramian(
                 "controllability Gramian of the full horizon is singular at tolerance"
@@ -305,11 +306,10 @@ class _Pipeline:
         gcih = symmetrize((v / np.sqrt(w)) @ v.T)
         self.phic = [gcih @ p for p in phi0]
         self.mk = [symmetrize((v * np.sqrt(w)) @ v.T)]
-        self.bn = []
         self.gcn = [np.zeros((n, n), dtype=_X)]
         for k in range(horizon):
-            self.bn.append(self.phic[k + 1] @ self.B[k])
-            self.gcn.append(symmetrize(self.gcn[k] + self.bn[k] @ self.bn[k].T))
+            bn = self.phic[k + 1] @ self.B[k]
+            self.gcn.append(symmetrize(self.gcn[k] + bn @ bn.T))
             self.mk.append(self.A[k] @ self.mk[k])
         if sigma0 is None:
             return
@@ -363,9 +363,20 @@ def _validate(sys: LinearSystemModel, sigma0, sigma_terminal, epsilon: float):
     for k in np.flatnonzero(~a_ok):
         diagnostics.append(f"A_{k} is singular at tolerance (cond ~ {a_cond[k]:.2e})")
 
-    # forward Gramians G_r(k, 0) and backward G_r(N, k), both for k = 0..N
-    fwd_ok = [_psd_invertible(g) for g in _forward_gramians(sys.A, sys.B)]
-    bwd_ok = [_psd_invertible(g) for g in _backward_sweep(sys.A, sys.B)[1]]
+    # forward Gramians G_r(k, 0) and backward G_r(N, k), both for k = 0..N; on long
+    # unstable horizons the first overflow from some k on and the second up to some k
+    with np.errstate(over="ignore", invalid="ignore"):
+        fwd = _forward_gramians(sys.A, sys.B)
+        bwd = _backward_sweep(sys.A, sys.B)[1]
+    fwd_fin = np.isfinite(fwd).all(axis=(1, 2))
+    bwd_fin = np.isfinite(bwd).all(axis=(1, 2))
+    if not (fwd_fin.all() and bwd_fin.all()):
+        diagnostics.append(
+            "the transition products overflow double precision: G_r(k, 0) is finite only "
+            f"for k < {fwd_fin.sum()} and G_r(N, k) only for k > {horizon - bwd_fin.sum()}"
+        )
+    fwd_ok = [fin and _psd_invertible(g) for fin, g in zip(fwd_fin, fwd)]
+    bwd_ok = [fin and _psd_invertible(g) for fin, g in zip(bwd_fin, bwd)]
     window = None
     for kr in range(1, horizon + 1):
         if all(fwd_ok[kr:]) and all(bwd_ok[:kr]):
@@ -382,7 +393,7 @@ def _validate(sys: LinearSystemModel, sigma0, sigma_terminal, epsilon: float):
     if has_boundary and a_ok.all() and window is not None:
         try:
             pipe = _Pipeline(sys, epsilon, _cov_of(sigma0), _cov_of(sigma_terminal))
-        except (SingularGramian, SingularA) as exc:
+        except (SingularGramian, SingularA, NonpositiveEpsilon) as exc:
             boundary_ok = False
             diagnostics.append(f"normalized boundary not computable: {exc}")
         else:
