@@ -11,8 +11,17 @@ extended-precision path falls back to a partial-pivot LU and a cyclic
 Jacobi eigensolver; the boundary-coupled recursions in
 :mod:`maxent_steer.steering` and :mod:`maxent_steer.pinned` run on those to
 keep round-off below the contract tolerances on long, badly conditioned
-horizons.  All problem dimensions here are small, so the O(n^3) pure-numpy
-kernels are never a bottleneck.
+horizons.
+
+Like ``numpy.linalg``, the kernels take stacks ``(..., n, n)`` (``solve_linear``
+also a right-hand side ``(n,)`` or ``(..., n, k)``). The pure-numpy kernels
+pay Python overhead per pivot and per rotation, not per matrix, so a stack
+costs about what one matrix does: called once per step, they took about 75%
+of :func:`~maxent_steer.pinned.bridge_verify`, and callers that loop over
+steps should pass the whole stack instead. Each matrix in a stack gets
+exactly the pivots and rotations it would get alone (a matrix leaves the
+Jacobi sweeps when it has converged, and is left out of the rotations it
+skips), so a stacked result is bit-identical to the per-matrix one.
 """
 
 from __future__ import annotations
@@ -41,9 +50,9 @@ PINV_RCOND = 1e-12
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Return the symmetric part (M + M^T) / 2, preserving dtype."""
+    """Return the symmetric part (M + M^T) / 2 of each matrix (..., n, n), preserving dtype."""
     m = np.asarray(m)
-    return (m + m.T) / 2
+    return (m + np.swapaxes(m, -1, -2)) / 2
 
 
 def _as_float_array(m) -> np.ndarray:
@@ -159,75 +168,106 @@ class GaussianMarginal:
 
 
 def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b by partial-pivot LU without leaving the input dtype."""
-    a = np.array(a, copy=True)
-    vec = np.ndim(b) == 1
-    x = np.array(b, dtype=a.dtype, copy=True)
+    """Solve a x = b by partial-pivot LU without leaving the input dtype.
+
+    ``a`` is (..., n, n); ``b`` is (n,) or (..., n, k), broadcast against
+    ``a`` like ``np.linalg.solve``. Each matrix of the stack gets the pivots
+    and eliminations it would get alone; any singular member raises.
+    """
+    n = a.shape[-1]
+    vec = b.ndim == 1
     if vec:
-        x = x[:, None]
-    n = a.shape[0]
+        b = b[:, None]
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    a = np.broadcast_to(a, lead + (n, n)).reshape((-1, n, n)).copy()
+    x = np.broadcast_to(b, lead + b.shape[-2:]).reshape((-1,) + b.shape[-2:]).copy()
     for c in range(n):
-        p = c + int(np.argmax(np.abs(a[c:, c])))
-        if a[p, c] == 0:
+        col = np.abs(a[:, c:, c])
+        if not col.max(axis=1).all():
             raise np.linalg.LinAlgError("singular matrix in LU solve")
-        if p != c:
-            a[[c, p]] = a[[p, c]]
-            x[[c, p]] = x[[p, c]]
-        for r in range(c + 1, n):
-            f = a[r, c] / a[c, c]
-            a[r, c + 1 :] -= f * a[c, c + 1 :]
-            x[r] -= f * x[c]
+        shift = np.argmax(col, axis=1)  # pivot row minus c
+        if shift.any():
+            swap = np.flatnonzero(shift)
+            p = c + shift[swap]
+            for y in (a, x):
+                row = y[swap, p]
+                y[swap, p] = y[swap, c]
+                y[swap, c] = row
+        f = (a[:, c + 1 :, c] / a[:, c, c, None])[:, :, None]
+        a[:, c + 1 :, c + 1 :] -= f * a[:, None, c, c + 1 :]
+        x[:, c + 1 :] -= f * x[:, None, c]
     for r in range(n - 1, -1, -1):
-        x[r] = (x[r] - a[r, r + 1 :] @ x[r + 1 :]) / a[r, r]
-    return x[:, 0] if vec else x
+        x[:, r] = (x[:, r] - (a[:, None, r, r + 1 :] @ x[:, r + 1 :])[:, 0]) / a[:, r, r, None]
+    x = x.reshape(lead + x.shape[1:])
+    return x[..., 0] if vec else x
 
 
 def _jacobi_eigh(m: np.ndarray, max_sweeps: int = 64):
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix, dtype-generic.
+    """Cyclic Jacobi eigendecomposition of symmetric matrices, dtype-generic.
 
-    Returns eigenvalues in ascending order and the matching eigenvectors as
-    columns, like ``np.linalg.eigh``.
+    ``m`` is (..., n, n). Returns eigenvalues in ascending order and the
+    matching eigenvectors as columns, like ``np.linalg.eigh``. Each matrix
+    of the stack gets exactly the rotations it would get alone: it leaves
+    the sweeps once it has converged, and is left out of each rotation it
+    would skip.
     """
-    a = np.array(symmetrize(m), copy=True)
-    n = a.shape[0]
-    v = np.eye(n, dtype=a.dtype)
-    if n == 1:
-        return a[0].copy(), v
-    eps = np.finfo(a.dtype).eps
+    m = symmetrize(m)
+    lead, n = m.shape[:-2], m.shape[-1]
+    # the matrices (rows :n) and their eigenvectors (rows n:) share one buffer,
+    # so that one column rotation turns both
+    av = np.zeros((int(np.prod(lead)), 2 * n, n), dtype=m.dtype)
+    av[:, :n] = m.reshape((-1, n, n))
+    av[:, n:] = np.eye(n)
+    a = av[:, :n]
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    eps = np.finfo(m.dtype).eps
+    live = np.arange(len(av))
     for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(np.triu(a, 1) ** 2))
-        scale = max(1.0, float(np.abs(a).max()))
-        if off <= n * eps * scale:
-            break
+        # basic indexing (views) while the whole stack is live
+        rows = slice(None) if live.size == len(av) else live
+        off = np.sqrt(np.sum((np.where(upper, a[rows], 0) ** 2).reshape(live.size, -1), axis=1))
+        # max(1, |a|_max) rounded to double, as a NaN-ignoring maximum
+        scale = np.fmax(1.0, np.abs(a[rows]).max(axis=(1, 2)).astype(np.float64))
+        done = off <= n * eps * scale
+        if done.any():
+            live, scale = live[~done], scale[~done]
+            rows = live
+            if live.size == 0:
+                break
+        thresh = eps * scale / n
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= eps * scale / n:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2 * apq)
-                if tau == 0:
-                    t = a.dtype.type(1.0)
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(1 + tau * tau))
+                skip = np.abs(a[rows, p, q]) <= thresh
+                sel = rows
+                if skip.any():
+                    sel = live[~skip]
+                    if sel.size == 0:
+                        continue
+                apq = a[sel, p, q]
+                tau = (a[sel, q, q] - a[sel, p, p]) / (2 * apq)
+                t = np.sign(tau) / (np.abs(tau) + np.sqrt(1 + tau * tau))
+                t[tau == 0] = 1
                 c = 1 / np.sqrt(1 + t * t)
-                s = t * c
-                rp, rq = a[p].copy(), a[q].copy()
-                a[p] = c * rp - s * rq
-                a[q] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                a[p, q] = a[q, p] = 0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    w = np.diag(a).copy()
-    order = np.argsort(w)
-    return w[order], v[:, order]
+                s = (t * c)[:, None]
+                c = c[:, None]
+                rp, rq = a[sel, p], a[sel, q]
+                a[sel, p], a[sel, q] = c * rp - s * rq, s * rp + c * rq
+                cp, cq = av[sel, :, p], av[sel, :, q]
+                av[sel, :, p], av[sel, :, q] = c * cp - s * cq, s * cp + c * cq
+                a[sel, p, q] = a[sel, q, p] = 0
+    w = np.diagonal(a, axis1=1, axis2=2)
+    order = np.argsort(w, axis=1)
+    w = np.take_along_axis(w, order, axis=1)
+    v = np.take_along_axis(av[:, n:], order[:, None, :], axis=2)
+    return w.reshape(lead + (n,)), v.reshape(lead + (n, n))
 
 
 def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a x = b, keeping extended precision when the inputs carry it."""
+    """Solve a x = b, keeping extended precision when the inputs carry it.
+
+    Shapes follow ``np.linalg.solve``: ``a`` is (..., n, n) and ``b`` is
+    (n,) or (..., n, k).
+    """
     a = np.asarray(a)
     if a.dtype == np.float64:
         return np.linalg.solve(a, b)
@@ -237,11 +277,11 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def inv(a: np.ndarray) -> np.ndarray:
     """Matrix inverse through :func:`solve_linear`."""
     a = np.asarray(a)
-    return solve_linear(a, np.eye(a.shape[0], dtype=a.dtype))
+    return solve_linear(a, np.eye(a.shape[-1], dtype=a.dtype))
 
 
 def sym_eig(m: np.ndarray):
-    """Eigendecomposition of a symmetric matrix, dtype-generic.
+    """Eigendecomposition of symmetric matrices (..., n, n), dtype-generic.
 
     Equivalent to ``np.linalg.eigh`` for float64; uses the Jacobi kernel for
     extended-precision dtypes.
@@ -252,28 +292,33 @@ def sym_eig(m: np.ndarray):
     return _jacobi_eigh(m)
 
 
+def _sym_from_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Symmetric V diag(w) V^T for stacked eigenpairs (..., n) and (..., n, n)."""
+    return symmetrize((v * w[..., None, :]) @ np.swapaxes(v, -1, -2))
+
+
 def psd_sqrt_raw(m: np.ndarray, snap_tol: float = 0.0) -> np.ndarray:
-    """Square root of a symmetric PSD matrix with negative round-off clamped.
+    """Square root of symmetric PSD matrices (..., n, n), negative round-off clamped.
 
     ``snap_tol`` > 0 additionally zeroes eigenvalues at or below
     ``snap_tol * max(1, max_eig)`` so that an almost-singular covariance
     stays exactly singular (needed to pin trajectory endpoints).
     """
-    m = np.asarray(m)
-    w, v = sym_eig(m)
+    w, v = sym_eig(np.asarray(m))
     w = np.where(w < 0, 0, w)
     if snap_tol > 0 and w.size:
-        w = np.where(w <= snap_tol * max(1.0, float(w[-1])), 0, w)
-    return symmetrize((v * np.sqrt(w)) @ v.T)
+        # max(1, max_eig) rounded to double, as a NaN-ignoring maximum
+        w = np.where(w <= snap_tol * np.fmax(1.0, w[..., -1:].astype(np.float64)), 0, w)
+    return _sym_from_eig(np.sqrt(w), v)
 
 
 def pinv_sym(m: np.ndarray, rcond: float = PINV_RCOND) -> np.ndarray:
-    """Moore-Penrose inverse of a symmetric matrix via its eigendecomposition."""
-    m = np.asarray(m)
-    w, v = sym_eig(m)
-    cutoff = rcond * max(1.0, float(np.abs(w).max(initial=0.0)))
+    """Moore-Penrose inverses of symmetric matrices (..., n, n) via their eigendecompositions."""
+    w, v = sym_eig(np.asarray(m))
+    top = np.abs(w).max(axis=-1, keepdims=True, initial=0.0).astype(np.float64)
+    cutoff = rcond * np.fmax(1.0, top)
     winv = np.where(np.abs(w) > cutoff, 1.0 / np.where(w == 0, 1, w), 0)
-    return symmetrize((v * winv) @ v.T)
+    return _sym_from_eig(winv, v)
 
 
 def rcond_sym(m: np.ndarray) -> float:
@@ -343,15 +388,25 @@ def gaussian_condition(joint_cov, joint_mean, observed_b) -> GaussianMarginal:
         raise DimensionMismatch(
             f"joint of dim {n} cannot be split for an observation of dim {nb}"
         )
-    s_aa = cov[:na, :na]
     s_ab = cov[:na, na:]
-    s_bb = cov[na:, na:]
+    gain = _condition_gain(cov[na:, na:], s_ab)
+    mean_a = mean[:na] + gain @ (b - mean[na:])
+    cov_a = symmetrize(cov[:na, :na] - gain @ s_ab.T)
+    return GaussianMarginal(mean_a, SymMatrix(cov_a))
+
+
+def _condition_gain(s_bb: np.ndarray, s_ab: np.ndarray) -> np.ndarray:
+    """Gain S_ab S_bb^{-1} of conditioning on a block with covariance ``s_bb``.
+
+    The conditional law then has mean mu_a + gain (b - mu_b) and covariance
+    S_aa - gain S_ba. ``s_bb`` is checked for positive definiteness and
+    factored once, however many rows ``s_ab`` has: each row of the gain is
+    the one it would get alone. Raises :class:`SingularBlock` when ``s_bb``
+    is not positive definite at tolerance.
+    """
     w = sym_eig(s_bb)[0]
     if w[0] <= DEFINITENESS_RTOL * max(1.0, float(abs(w[-1]))):
         raise SingularBlock(
             f"observed block is not positive definite (min eigenvalue {w[0]:.3e})"
         )
-    gain = solve_linear(s_bb, s_ab.T).T  # S_ab S_bb^{-1}
-    mean_a = mean[:na] + gain @ (b - mean[na:])
-    cov_a = symmetrize(s_aa - gain @ s_ab.T)
-    return GaussianMarginal(mean_a, SymMatrix(cov_a))
+    return solve_linear(s_bb, s_ab.T).T

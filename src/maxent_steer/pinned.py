@@ -34,7 +34,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPD, SingularGramian
 from .linalg import (
-    gaussian_condition,
+    _condition_gain,
+    _sym_from_eig,
     pinv_sym,
     psd_sqrt_raw,
     rcond_sym,
@@ -120,10 +121,10 @@ class PinnedMoments:
 
 
 class _PinnedPieces:
-    """Per-step controller matrices in extended precision.
+    """Per-step controller matrices in extended precision, stacked over the steps.
 
     ``phi_n`` and ``gr`` stack Phi(N, k) and G_r(N, k) for k = 0..N.
-    For each step: Gd = G_r(N, k)^+, the state feedforward map
+    For each step k < N: Gd = G_r(N, k)^+, the state feedforward map
     D_k = B_k B_k^T Phi(N, k+1)^T Gd, the pinned closed loop
     Ahat_k = (I - D_k Phi(N, k+1)) A_k, the input noise covariance
     W_k = I - B_k^T Phi(N, k+1)^T Gd Phi(N, k+1) B_k (snapped PSD), and
@@ -131,33 +132,24 @@ class _PinnedPieces:
     """
 
     def __init__(self, a_seq, b_seq):
-        horizon = len(a_seq)
-        n = a_seq[0].shape[0]
-        m = b_seq[0].shape[1]
-        eye_n = np.eye(n, dtype=_X)
-        eye_m = np.eye(m, dtype=_X)
+        a_seq = np.asarray(a_seq)
+        b_seq = np.asarray(b_seq, dtype=a_seq.dtype)
+        b_t = np.swapaxes(b_seq, -1, -2)
         phi_n, gr = _backward_sweep(a_seq, b_seq)
         if rcond_sym(gr[0]) <= INVERTIBILITY_RCOND:
             raise SingularGramian("reachability Gramian of the full horizon is singular")
         self.phi_n = phi_n
         self.gr = gr
-        self.Gd = []
-        self.Ahat = []
-        self.D = []
-        self.W = []
-        self.Lam = []
-        for k in range(horizon):
-            gd = pinv_sym(gr[k])
-            self.Gd.append(gd)
-            t = b_seq[k] @ b_seq[k].T @ phi_n[k + 1].T @ gd
-            self.D.append(t)
-            self.Ahat.append((eye_n - t @ phi_n[k + 1]) @ a_seq[k])
-            w_raw = symmetrize(eye_m - b_seq[k].T @ phi_n[k + 1].T @ gd @ phi_n[k + 1] @ b_seq[k])
-            ew, ev = sym_eig(w_raw)
-            ew = np.where(ew <= NOISE_SNAP_RTOL * max(1.0, float(ew[-1])), 0, ew)
-            w_cov = symmetrize((ev * ew) @ ev.T)
-            self.W.append(w_cov)
-            self.Lam.append(symmetrize(b_seq[k] @ w_cov @ b_seq[k].T))
+        phi_1 = phi_n[1:]
+        phi_1t = np.swapaxes(phi_1, -1, -2)
+        self.Gd = pinv_sym(gr[:-1])
+        self.D = b_seq @ b_t @ phi_1t @ self.Gd
+        self.Ahat = (np.eye(a_seq.shape[1], dtype=_X) - self.D @ phi_1) @ a_seq
+        w_raw = symmetrize(np.eye(b_seq.shape[2], dtype=_X) - b_t @ phi_1t @ self.Gd @ phi_1 @ b_seq)
+        ew, ev = sym_eig(w_raw)
+        ew = np.where(ew <= NOISE_SNAP_RTOL * np.fmax(1.0, _f64(ew[:, -1:])), 0, ew)
+        self.W = _sym_from_eig(ew, ev)
+        self.Lam = symmetrize(b_seq @ self.W @ b_t)
 
 
 def pinned_controller(sys: LinearSystemModel, x0bar, target) -> PinnedController:
@@ -174,21 +166,14 @@ def pinned_controller(sys: LinearSystemModel, x0bar, target) -> PinnedController
         raise DimensionMismatch("boundary points have wrong dimension")
     _require_invertible(sys.A)
     pieces = _PinnedPieces(_xd(sys.A), _xd(sys.B))
-    horizon, m = sys.horizon, sys.m
-    gains = np.zeros((horizon, m, sys.n))
-    feeds = np.zeros((horizon, m))
-    covs = np.zeros((horizon, m, m))
-    xt_x = _xd(xt)
-    for k in range(horizon):
-        bt_phi_gd = _xd(sys.B[k]).T @ pieces.phi_n[k + 1].T @ pieces.Gd[k]
-        gains[k] = _f64(-bt_phi_gd @ pieces.phi_n[k])
-        feeds[k] = _f64(bt_phi_gd @ xt_x)
-        covs[k] = _f64(pieces.W[k])
-    policy = AffineGaussianPolicy(gains, feeds, covs)
+    bt_phi_gd = np.swapaxes(_xd(sys.B), -1, -2) @ np.swapaxes(pieces.phi_n[1:], -1, -2) @ pieces.Gd
+    policy = AffineGaussianPolicy(
+        _f64(-bt_phi_gd @ pieces.phi_n[:-1]), _f64(bt_phi_gd @ _xd(xt)), _f64(pieces.W)
+    )
     return PinnedController(
-        closed_loop=_f64(np.stack(pieces.Ahat)),
-        target_gain=_f64(np.stack(pieces.D)),
-        noise_covs=_f64(np.stack(pieces.W)),
+        closed_loop=_f64(pieces.Ahat),
+        target_gain=_f64(pieces.D),
+        noise_covs=_f64(pieces.W),
         target=xt,
         policy=policy,
     )
@@ -232,27 +217,33 @@ def pinned_moments_controller(sys: LinearSystemModel, x0bar, target) -> PinnedMo
         diag = symmetrize(pieces.Ahat[k] @ diag @ pieces.Ahat[k].T + pieces.Lam[k])
         mean[k + 1] = _f64(ell)
         diags_x.append(diag)
+    ahat_t = np.swapaxes(pieces.Ahat, -1, -2)
     for k in range(horizon + 1):
-        cross = diags_x[k]
-        cov[k, k] = _f64(cross)
+        # row k of the kernel in extended precision, rounded to float64 once
+        row = np.empty((horizon + 1 - k, n, n), dtype=_X)
+        row[0] = diags_x[k]
         for s in range(k, horizon):
-            cross = cross @ pieces.Ahat[s].T
-            cov[k, s + 1] = _f64(cross)
-            cov[s + 1, k] = cov[k, s + 1].T
+            row[s - k + 1] = row[s - k] @ ahat_t[s]
+        cov[k, k:] = _f64(row)
+        cov[k + 1 :, k] = np.swapaxes(cov[k, k + 1 :], -1, -2)
     return PinnedMoments(mean, cov)
 
 
 def conditional_gaussian_oracle(sys: LinearSystemModel, x0bar, target) -> PinnedMoments:
     """Pinned moments straight from Gaussian conditioning, for verification.
 
-    Builds the joint Gaussian of the noise-driven states at a pair of times
-    together with the terminal state, conditions on the terminal state via
-    :func:`~maxent_steer.linalg.gaussian_condition`, and reads off the
-    conditional moments. The joint is assembled in normalized coordinates
-    (states premultiplied by Gc^{-1/2} Phi(0, k)) where its blocks are
-    bounded partial sums and the conditioned block is the identity; the
-    conditional moments are mapped back afterwards. This shares no
-    propagation code with :func:`pinned_moments_controller`.
+    Conditions the joint Gaussian law of the noise-driven states on the
+    terminal state and reads off the conditional moments. The law is taken
+    in normalized coordinates (states premultiplied by Gc^{-1/2} Phi(0, k)),
+    where cov(y_k, y_s) = gcn[min(k, s)] is a bounded partial sum and the
+    observed block T = gcn[N] is the identity up to round-off. T is checked
+    and factored once, and all gains gcn[k] T^{-1} come from one solve. Block
+    (k, s) of the conditional covariance is the Schur complement
+    gcn[min(k, s)] - gcn[k] T^{-1} gcn[s], averaged with the transpose of
+    block (s, k) as conditioning the pair (y_k, y_s) alone would give it; the
+    joint of all times is never assembled. The conditional moments are mapped
+    back afterwards. This shares no propagation code with
+    :func:`pinned_moments_controller`.
     """
     x0bar = np.asarray(x0bar, dtype=np.float64)
     xt = np.asarray(target, dtype=np.float64)
@@ -260,45 +251,27 @@ def conditional_gaussian_oracle(sys: LinearSystemModel, x0bar, target) -> Pinned
         raise DimensionMismatch("boundary points have wrong dimension")
     pipe = _Pipeline(sys)
     horizon, n = sys.horizon, sys.n
-    # normalized second moments: cov(y_k, y_s) = gcn[min(k, s)]; gcn[N] is the
-    # identity up to round-off, and the computed total is used for the
-    # conditioned block so every block derives from the same products
-    gcn = pipe.gcn
-    mk = pipe.mk  # map back to original coordinates: x_k = mk[k] y_k
-    total = gcn[horizon]
+    gcn = np.stack(pipe.gcn[:horizon])
+    mk = np.stack(pipe.mk)  # map back to original coordinates: x_k = mk[k] y_k
+    mk_t = np.swapaxes(mk, -1, -2)
     g0 = pipe.phic[0] @ _xd(x0bar)  # normalized mean, constant over time
     y_obs = pipe.phic[horizon] @ _xd(xt)
+    # the gains of every y_k, k < N, stacked as the rows of one cross-covariance
+    gains = _condition_gain(pipe.gcn[horizon], gcn.reshape(-1, n)).reshape(gcn.shape)
 
     mean = np.zeros((horizon + 1, n))
+    # conditioning on the terminal state leaves no residual covariance with it
     cov = np.zeros((horizon + 1, horizon + 1, n, n))
+    mean[:horizon] = _f64(mk[:horizon] @ (g0 + gains @ (y_obs - g0))[:, :, None])[:, :, 0]
     mean[horizon] = xt
     for k in range(horizon):
-        joint = np.zeros((2 * n, 2 * n), dtype=_X)
-        joint[:n, :n] = gcn[k]
-        joint[:n, n:] = gcn[k]
-        joint[n:, :n] = gcn[k]
-        joint[n:, n:] = total
-        cond = gaussian_condition(joint, np.concatenate([g0, g0]), y_obs)
-        mean[k] = _f64(mk[k] @ _xd(cond.mean))
-        cov[k, k] = _f64(symmetrize(mk[k] @ _xd(cond.cov.data) @ mk[k].T))
-        for s in range(k + 1, horizon):
-            joint = np.zeros((3 * n, 3 * n), dtype=_X)
-            joint[:n, :n] = gcn[k]
-            joint[:n, n : 2 * n] = gcn[k]
-            joint[n : 2 * n, :n] = gcn[k]
-            joint[:n, 2 * n :] = gcn[k]
-            joint[2 * n :, :n] = gcn[k]
-            joint[n : 2 * n, n : 2 * n] = gcn[s]
-            joint[n : 2 * n, 2 * n :] = gcn[s]
-            joint[2 * n :, n : 2 * n] = gcn[s]
-            joint[2 * n :, 2 * n :] = total
-            cond = gaussian_condition(joint, np.concatenate([g0, g0, g0]), y_obs)
-            block = _xd(cond.cov.data)[:n, n:]
-            cov[k, s] = _f64(mk[k] @ block @ mk[s].T)
-            cov[s, k] = cov[k, s].T
-        # conditioning on the terminal state leaves no residual covariance with it
-        cov[k, horizon] = 0.0
-        cov[horizon, k] = 0.0
+        # blocks (k, s), s >= k, of the Schur complement and (s, k) transposed
+        upper = gcn[k] - gains[k] @ gcn[k:]
+        lower = gcn[k] - gains[k:] @ gcn[k]
+        row = mk[k] @ ((upper + np.swapaxes(lower, -1, -2)) / 2) @ mk_t[k:horizon]
+        row[0] = symmetrize(row[0])
+        cov[k, k:horizon] = _f64(row)
+        cov[k + 1 : horizon, k] = np.swapaxes(cov[k, k + 1 : horizon], -1, -2)
     return PinnedMoments(mean, cov)
 
 
@@ -415,8 +388,8 @@ def bridge_verify(
     horizon, n = work.horizon, work.n
     a_seq, b_seq = pipe.A, pipe.B
     # the optimal process: closed loop A_k + B_k K_k driven by B_k gate_k^{-1/2} w_k
-    acl_seq = [a_seq[k] + b_seq[k] @ lyap.gains[k] for k in range(horizon)]
-    bhalf_seq = [b_seq[k] @ psd_sqrt_raw(_xd(lyap.noise_base[k])) for k in range(horizon)]
+    acl_seq = a_seq + b_seq @ lyap.gains
+    bhalf_seq = b_seq @ psd_sqrt_raw(_xd(lyap.noise_base))
     ref_pieces = _PinnedPieces(a_seq, b_seq)
     opt_pieces = _PinnedPieces(acl_seq, bhalf_seq)
     sig0_x = _xd(sig0)
@@ -435,14 +408,17 @@ def bridge_verify(
     # R1, R2 the controllability Gramians of [k, N] of the reference and optimal
     # processes; R1 = Phi(k, 0) Gc^{1/2} (I - gcn_k) Gc^{1/2} Phi(k, 0)^T in the
     # normalized coordinates and R2 = Phi_Q(k, N) G_r,Q(N, k) Phi_Q(k, N)^T
+    mk = np.stack(pipe.mk)
+    gcn = np.stack(pipe.gcn)
+    r1 = symmetrize(mk @ (gcn[horizon] - gcn) @ np.swapaxes(mk, -1, -2))
+    phi_q = opt_pieces.phi_n
+    r2 = symmetrize(solve_linear(phi_q, np.swapaxes(solve_linear(phi_q, opt_pieces.gr), -1, -2)))
+    jk = _f64(r1 + r1 @ solve_linear(_xd(lyap.Q), r2) - r2)
+    r1, r2 = _f64(r1), _f64(r2)
     res_gramian = 0.0
     for k in range(horizon + 1):
-        r1 = symmetrize(pipe.mk[k] @ (pipe.gcn[horizon] - pipe.gcn[k]) @ pipe.mk[k].T)
-        phi_q = opt_pieces.phi_n[k]
-        r2 = symmetrize(solve_linear(phi_q, solve_linear(phi_q, opt_pieces.gr[k]).T))
-        jk = r1 + r1 @ solve_linear(_xd(lyap.Q[k]), r2) - r2
-        scale = max(float(np.linalg.norm(_f64(r1))), float(np.linalg.norm(_f64(r2))))
-        res_gramian = max(res_gramian, float(np.linalg.norm(_f64(jk))) / (1.0 + scale))
+        scale = max(float(np.linalg.norm(r1[k])), float(np.linalg.norm(r2[k])))
+        res_gramian = max(res_gramian, float(np.linalg.norm(jk[k])) / (1.0 + scale))
 
     # pinned-dynamics equality of the reference and optimal processes
     res_feed = res_cl = res_noise = 0.0
@@ -454,25 +430,26 @@ def bridge_verify(
     # path relative entropy vs the endpoint-coupling relative entropy
     path_kl = _X(0.0)
     sigma_k = sig0_x
+    s_opt = symmetrize(bhalf_seq @ np.swapaxes(bhalf_seq, -1, -2))
+    w_refs, v_refs = sym_eig(symmetrize(b_seq @ np.swapaxes(b_seq, -1, -2)))
+    w_opts = sym_eig(s_opt)[0]
+    ranks = np.sum(w_refs > INVERTIBILITY_RCOND * np.fmax(1.0, _f64(w_refs[:, -1:])), axis=1)
     for k in range(horizon):
-        s_ref = symmetrize(b_seq[k] @ b_seq[k].T)
-        s_opt = symmetrize(bhalf_seq[k] @ bhalf_seq[k].T)
-        w_ref, v_ref = sym_eig(s_ref)
-        rank = int(np.sum(w_ref > INVERTIBILITY_RCOND * max(1.0, float(w_ref[-1]))))
+        rank = int(ranks[k])
         if rank == 0:
             continue
-        w_opt = sym_eig(s_opt)[0]
+        w_ref, v_ref, w_opt = w_refs[k], v_refs[k], w_opts[k]
         s_ref_pinv = (v_ref[:, -rank:] / w_ref[-rank:]) @ v_ref[:, -rank:].T
         delta = b_seq[k] @ lyap.gains[k]
         step = (
             np.sum(np.log(w_ref[-rank:]))
             - np.sum(np.log(w_opt[-rank:]))
-            + np.trace(s_ref_pinv @ s_opt)
+            + np.trace(s_ref_pinv @ s_opt[k])
             + np.trace(s_ref_pinv @ delta @ sigma_k @ delta.T)
             - rank
         ) / 2
         path_kl = path_kl + step
-        sigma_k = symmetrize(acl_seq[k] @ sigma_k @ acl_seq[k].T + s_opt)
+        sigma_k = symmetrize(acl_seq[k] @ sigma_k @ acl_seq[k].T + s_opt[k])
     coupling_opt = np.zeros((2 * n, 2 * n), dtype=_X)
     coupling_opt[:n, :n] = sig0_x
     coupling_opt[:n, n:] = y_cross.T

@@ -194,18 +194,25 @@ def _pullback_sweep(a, b):
     """Phi(0, k) and G_c(k, 0) for k = 0..N, stacked, in the dtype of ``a`` and ``b``.
 
     G_c(k, 0) = sum_{j<k} Phi(0, j+1) B_j B_j^T Phi(0, j+1)^T. Each step pulls
-    back through a solve with A_k; :class:`SingularA` names a step it fails on.
+    back through A_k^{-1}, all inverses from one stacked solve; :class:`SingularA`
+    names the first step whose solve fails.
     """
     horizon, n = a.shape[0], a.shape[1]
     eye = np.eye(n, dtype=a.dtype)
+    try:
+        a_inv = solve_linear(a, eye)
+    except np.linalg.LinAlgError:
+        for k in range(horizon):  # name the first step whose own solve fails
+            try:
+                solve_linear(a[k], eye)
+            except np.linalg.LinAlgError:
+                raise SingularA(k) from None
+        raise
     phi = np.empty((horizon + 1, n, n), dtype=a.dtype)
     gc = np.zeros_like(phi)
     phi[0] = eye
     for k in range(horizon):
-        try:
-            phi[k + 1] = phi[k] @ solve_linear(a[k], eye)
-        except np.linalg.LinAlgError:
-            raise SingularA(k) from None
+        phi[k + 1] = phi[k] @ a_inv[k]
         w = phi[k + 1] @ b[k]
         gc[k + 1] = gc[k] + w @ w.T
     return phi, gc
@@ -322,9 +329,11 @@ class _Pipeline:
         self.b_core = -self.s0 + eye / 2 + root
 
 
-def _psd_invertible(g: np.ndarray) -> bool:
-    w = np.linalg.eigvalsh(symmetrize(g))
-    return w[-1] > 0 and w[0] > INVERTIBILITY_RCOND * w[-1]
+def _psd_invertible(g: np.ndarray) -> np.ndarray:
+    """Per stacked matrix: finite, and positive definite with rcond above INVERTIBILITY_RCOND."""
+    fin = np.isfinite(g).all(axis=(-2, -1))
+    w = np.linalg.eigvalsh(symmetrize(np.where(fin[..., None, None], g, 0)))
+    return fin & (w[..., -1] > 0) & (w[..., 0] > INVERTIBILITY_RCOND * w[..., -1])
 
 
 def validate_assumptions(
@@ -375,13 +384,10 @@ def _validate(sys: LinearSystemModel, sigma0, sigma_terminal, epsilon: float):
             "the transition products overflow double precision: G_r(k, 0) is finite only "
             f"for k < {fwd_fin.sum()} and G_r(N, k) only for k > {horizon - bwd_fin.sum()}"
         )
-    fwd_ok = [fin and _psd_invertible(g) for fin, g in zip(fwd_fin, fwd)]
-    bwd_ok = [fin and _psd_invertible(g) for fin, g in zip(bwd_fin, bwd)]
-    window = None
-    for kr in range(1, horizon + 1):
-        if all(fwd_ok[kr:]) and all(bwd_ok[:kr]):
-            window = kr
-            break
+    fwd_ok, bwd_ok = np.split(_psd_invertible(np.concatenate([fwd, bwd])), 2)
+    # the window k_r needs G_r(k, 0) invertible for all k >= k_r and G_r(N, k) for all k < k_r
+    fits = np.logical_and.accumulate(fwd_ok[::-1])[::-1][1:] & np.logical_and.accumulate(bwd_ok)[:-1]
+    window = int(np.argmax(fits)) + 1 if fits.any() else None
     if window is None:
         diagnostics.append("no reachability-Gramian invertibility window exists")
 
@@ -390,10 +396,13 @@ def _validate(sys: LinearSystemModel, sigma0, sigma_terminal, epsilon: float):
     pipe = None
     boundary_ok = True
     has_boundary = sigma0 is not None and sigma_terminal is not None
-    if has_boundary and a_ok.all() and window is not None:
+    if has_boundary and epsilon <= 0:
+        boundary_ok = False
+        diagnostics.append(f"epsilon must be positive, got {epsilon}")
+    elif has_boundary and a_ok.all() and window is not None:
         try:
             pipe = _Pipeline(sys, epsilon, _cov_of(sigma0), _cov_of(sigma_terminal))
-        except (SingularGramian, SingularA, NonpositiveEpsilon) as exc:
+        except (SingularGramian, SingularA) as exc:
             boundary_ok = False
             diagnostics.append(f"normalized boundary not computable: {exc}")
         else:
