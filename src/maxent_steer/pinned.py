@@ -435,20 +435,20 @@ def bridge_verify(
     w_opts = sym_eig(s_opt)[0]
     ranks = np.sum(w_refs > INVERTIBILITY_RCOND * np.fmax(1.0, _f64(w_refs[:, -1:])), axis=1)
     for k in range(horizon):
+        # a step with no input adds no KL, but Sigma_k still advances through it
         rank = int(ranks[k])
-        if rank == 0:
-            continue
-        w_ref, v_ref, w_opt = w_refs[k], v_refs[k], w_opts[k]
-        s_ref_pinv = (v_ref[:, -rank:] / w_ref[-rank:]) @ v_ref[:, -rank:].T
-        delta = b_seq[k] @ lyap.gains[k]
-        step = (
-            np.sum(np.log(w_ref[-rank:]))
-            - np.sum(np.log(w_opt[-rank:]))
-            + np.trace(s_ref_pinv @ s_opt[k])
-            + np.trace(s_ref_pinv @ delta @ sigma_k @ delta.T)
-            - rank
-        ) / 2
-        path_kl = path_kl + step
+        if rank > 0:
+            w_ref, v_ref, w_opt = w_refs[k], v_refs[k], w_opts[k]
+            s_ref_pinv = (v_ref[:, -rank:] / w_ref[-rank:]) @ v_ref[:, -rank:].T
+            delta = b_seq[k] @ lyap.gains[k]
+            step = (
+                np.sum(np.log(w_ref[-rank:]))
+                - np.sum(np.log(w_opt[-rank:]))
+                + np.trace(s_ref_pinv @ s_opt[k])
+                + np.trace(s_ref_pinv @ delta @ sigma_k @ delta.T)
+                - rank
+            ) / 2
+            path_kl = path_kl + step
         sigma_k = symmetrize(acl_seq[k] @ sigma_k @ acl_seq[k].T + s_opt[k])
     coupling_opt = np.zeros((2 * n, 2 * n), dtype=_X)
     coupling_opt[:n, :n] = sig0_x

@@ -1,8 +1,11 @@
 """Monte-Carlo rollout of affine-Gaussian policies with reproducible seeding.
 
-Every sample owns a child random stream spawned deterministically from
-(seed, sample index), so ensembles are a pure function of the problem,
-seed, and count; no execution order or worker layout can change them.
+Samples draw their noise in fixed-size blocks: block b holds samples
+b*BLOCK .. b*BLOCK+BLOCK-1 and owns one random stream spawned from
+(seed, b), from which it always draws the full block. Sample i is therefore
+a pure function of (problem, seed, i): no count, execution order or worker
+layout can change it, and a larger ensemble extends a smaller one. The
+sampled values differ from versions that spawned one stream per sample.
 Sampling draws noise through the PSD square root of each step covariance
 with near-zero eigenvalues snapped to exact zero, so the degenerate noise
 of point-steering controllers pins endpoints to round-off.
@@ -27,6 +30,9 @@ __all__ = [
     "propagate_policy_moments",
     "dynamics_residual",
 ]
+
+# Samples per noise stream; changing it changes every sampled value.
+BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -74,8 +80,10 @@ def sample_ensemble(
     ``policy`` is an :class:`AffineGaussianPolicy` or anything exposing
     ``as_policy()`` (the point-steering controller does); ``initial`` is a
     :class:`GaussianMarginal` or a fixed initial state vector. Sample i
-    consumes only the random stream spawned from (seed, i), making the
-    ensemble bit-reproducible for a given (problem, seed, count).
+    consumes row i % BLOCK of the block stream spawned from
+    (seed, i // BLOCK), so it is a bit-reproducible function of
+    (problem, seed, i) alone; its bits differ from versions that gave every
+    sample its own stream.
     """
     policy = _resolve_policy(policy)
     if policy.horizon != sys.horizon or policy.n != sys.n or policy.m != sys.m:
@@ -97,17 +105,16 @@ def sample_ensemble(
     if mean0.shape != (n,):
         raise DimensionMismatch(f"initial state has shape {mean0.shape}, expected ({n},)")
 
-    sqrt_r = np.stack(
-        [psd_sqrt_raw(policy.noise_covs[k], snap_tol=PINV_RCOND) for k in range(horizon)]
-    )
+    sqrt_r = psd_sqrt_raw(policy.noise_covs, snap_tol=PINV_RCOND)
 
     z0 = np.zeros((count, n))
     zu = np.zeros((count, horizon, m))
-    base = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    for i in range(count):
-        rng = np.random.default_rng(np.random.SeedSequence([int(base), i]))
-        z0[i] = rng.standard_normal(n)
-        zu[i] = rng.standard_normal((horizon, m))
+    base = seed & 0xFFFFFFFFFFFFFFFF
+    for lo in range(0, count, BLOCK):
+        rng = np.random.default_rng(np.random.SeedSequence([base, lo // BLOCK]))
+        hi = min(lo + BLOCK, count)
+        z0[lo:hi] = rng.standard_normal((BLOCK, n))[: hi - lo]
+        zu[lo:hi] = rng.standard_normal((BLOCK, horizon, m))[: hi - lo]
 
     states = np.zeros((count, horizon + 1, n))
     controls = np.zeros((count, horizon, m))

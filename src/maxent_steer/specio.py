@@ -5,7 +5,11 @@ row-major arrays). All floating-point output is rendered with 17
 significant digits, which round-trips IEEE doubles exactly; documents are
 written in a canonical form (sorted keys, fixed float rendering) so that
 load + save is byte-identical. Trajectories and ellipse boundaries are
-plain CSV.
+plain CSV with the same 17-digit rendering. Both CSV writers share one
+chunked block formatter: each block of CSV_CHUNK records (samples or
+ellipse rows) is formatted with a single ``%`` and written before the next
+is built, so a large ensemble is never held as strings at once, and
+non-finite values are refused before the file is opened.
 """
 
 from __future__ import annotations
@@ -268,37 +272,67 @@ def load_policy(path: str):
 # ---------------------------------------------------------------------------
 
 
+# Records formatted and written per block: one sample of a trajectory file,
+# one row of an ellipse file. Bounds the strings held at once.
+CSV_CHUNK = 64
+
+
+def _check_finite(*arrays):
+    for arr in arrays:
+        arr = np.asarray(arr)
+        bad = ~np.isfinite(arr)
+        if bad.any():
+            raise ValueError(f"non-finite value {arr[bad][0]!r} cannot be serialized")
+
+
+def _write_csv(path: str, header: str, record_fmt: str, count: int, records):
+    """Write ``header`` and ``count`` records, CSV_CHUNK records per block.
+
+    ``records(lo, hi)`` returns the float64 values of records lo..hi-1 as rows
+    of an array, and ``record_fmt`` renders one such row (``%.17g`` gives the
+    same digits as ``format(x, ".17g")``). Callers check finiteness first, so
+    a refused write leaves ``path`` untouched.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, count, CSV_CHUNK):
+            hi = min(lo + CSV_CHUNK, count)
+            fh.write((record_fmt * (hi - lo)) % tuple(records(lo, hi).ravel().tolist()))
+
+
 def write_trajectory_csv(path: str, states: np.ndarray, controls: np.ndarray):
     """Write sampled paths as rows `sample,step,x1..xn,u1..um`.
 
-    Control columns are empty at the terminal step, which has no input.
+    Control columns are empty at the terminal step, which has no input. A
+    non-finite value raises ``ValueError`` before anything is written.
     """
     count, steps, n = states.shape
     m = controls.shape[2]
+    _check_finite(states, controls)
     header = (
         "sample,step,"
         + ",".join(f"x{i + 1}" for i in range(n))
         + ","
         + ",".join(f"u{j + 1}" for j in range(m))
     )
-    lines = [header]
-    for i in range(count):
-        for k in range(steps):
-            xs = ",".join(_fmt_float(v) for v in states[i, k])
-            us = (
-                ",".join(_fmt_float(v) for v in controls[i, k])
-                if k < steps - 1
-                else "," * (m - 1)
-            )
-            lines.append(f"{i},{k},{xs},{us}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # one sample's rows; the step numbers are constants of the layout
+    xs, us = ",".join(["%.17g"] * n), ",".join(["%.17g"] * m)
+    sample_fmt = "".join(f"%d,{k},{xs},{us}\n" for k in range(steps - 1))
+    sample_fmt += f"%d,{steps - 1},{xs},{',' * (m - 1)}\n"
+
+    def records(lo, hi):
+        block = np.empty((hi - lo, steps, 1 + n + m))
+        block[:, :, 0] = np.arange(lo, hi)[:, None]
+        block[:, :, 1 : 1 + n] = states[lo:hi]
+        block[:, :-1, 1 + n :] = controls[lo:hi]
+        # the terminal row carries no controls: drop its last m columns
+        return block.reshape(hi - lo, -1)[:, : steps * (1 + n + m) - m]
+
+    _write_csv(path, header, sample_fmt, count, records)
 
 
 def write_ellipse_csv(path: str, angles: np.ndarray, points: np.ndarray):
     """Write ellipse boundary samples as rows `angle,x1,x2`."""
-    lines = ["angle,x1,x2"]
-    for t, p in zip(angles, points):
-        lines.append(f"{_fmt_float(t)},{_fmt_float(p[0])},{_fmt_float(p[1])}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    rows = np.column_stack((angles, np.asarray(points)[:, :2]))
+    _check_finite(rows)
+    _write_csv(path, "angle,x1,x2", "%.17g,%.17g,%.17g\n", len(rows), lambda lo, hi: rows[lo:hi])
