@@ -172,7 +172,7 @@ def _steer_impl(spec_path, policy_path, samples, seed, out_path, epsilon_overrid
 @click.option("--spec", "spec_path", required=True, type=click.Path())
 @click.option("--policy", "policy_path", default="auto", show_default=True,
               help="Policy file to roll out, or 'auto' to synthesize from the spec.")
-@click.option("--samples", type=int, default=None, help="Sample count (defaults to the spec's).")
+@click.option("--samples", type=click.IntRange(min=1), default=None, help="Sample count (defaults to the spec's).")
 @click.option("--seed", type=int, default=None, help="RNG seed (defaults to the spec's).")
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Trajectory CSV to write.")
 @click.option("--epsilon-override", type=float, default=None)
@@ -183,7 +183,7 @@ def cmd_steer(spec_path, policy_path, samples, seed, out_path, epsilon_override)
 
 @main.command("pin")
 @click.option("--spec", "spec_path", required=True, type=click.Path())
-@click.option("--samples", type=int, default=None)
+@click.option("--samples", type=click.IntRange(min=1), default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def cmd_pin(spec_path, samples, seed, out_path):

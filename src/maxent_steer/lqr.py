@@ -2,7 +2,9 @@
 
 Backward Riccati sweep for the quadratic terminal cost, the resulting
 stochastic affine-Gaussian policy, and the entropy-weight normalization
-that reduces any problem to unit weight.
+that reduces any problem to unit weight. Only the Riccati recursion and its
+gate check run per step; the policy is one stacked solve and one stacked
+inverse over all steps.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, GateNotPD, NonpositiveEpsilon
-from .linalg import DefinitenessReport, SymMatrix, as_sym, definiteness, symmetrize
+from .linalg import DEFINITENESS_RTOL, SymMatrix, as_sym, symmetrize
 from .system import LinearSystemModel, _require_invertible
 
 __all__ = [
@@ -82,12 +84,11 @@ class RiccatiSolution:
 
     ``Pi`` stacks the N+1 cost-to-go weight matrices; ``gates`` the N
     matrices I + B_k^T Pi_{k+1} B_k whose positive definiteness licenses
-    each step (reports included).
+    each step.
     """
 
     Pi: np.ndarray
     gates: np.ndarray
-    gate_reports: tuple[DefinitenessReport, ...]
 
 
 def riccati_backward(
@@ -100,10 +101,10 @@ def riccati_backward(
     Pi_k = A_k^T Pi_{k+1} A_k
            - A_k^T Pi_{k+1} B_k (I + B_k^T Pi_{k+1} B_k)^{-1} B_k^T Pi_{k+1} A_k
 
-    Each gate matrix is checked for positive definiteness before inversion;
-    :class:`GateNotPD` reports the step where the hypothesis fails. The
-    terminal weight may be indefinite. ``epsilon`` does not enter the
-    recursion; it is accepted for signature symmetry with
+    Each gate is checked for positive definiteness, at the tolerance of
+    ``definiteness``, before inversion; :class:`GateNotPD` reports the step
+    where it fails. The terminal weight may be indefinite. ``epsilon`` does
+    not enter the recursion; it is accepted for signature symmetry with
     :func:`lqr_policy` and validated only.
     """
     if epsilon <= 0:
@@ -114,21 +115,19 @@ def riccati_backward(
     horizon, n, m = sys.horizon, sys.n, sys.m
     pi = np.zeros((horizon + 1, n, n))
     gates = np.zeros((horizon, m, m))
-    reports = [None] * horizon
     pi[horizon] = f.data
     eye_m = np.eye(m)
     for k in range(horizon - 1, -1, -1):
         a, b = sys.A[k], sys.B[k]
         pb = pi[k + 1] @ b
         gate = symmetrize(eye_m + b.T @ pb)
-        report = definiteness(gate)
-        if not report.is_pd:
-            raise GateNotPD(k, f"gate at step {k} has min eigenvalue {report.min_eig:.3e}")
+        w = np.linalg.eigvalsh(gate)
+        if not w[0] > DEFINITENESS_RTOL * max(1.0, abs(w[-1])):
+            raise GateNotPD(k, f"gate at step {k} has min eigenvalue {w[0]:.3e}")
         gates[k] = gate
-        reports[k] = report
         pa = pi[k + 1] @ a
         pi[k] = symmetrize(a.T @ pa - pa.T @ b @ np.linalg.solve(gate, b.T @ pa))
-    return RiccatiSolution(pi, gates, tuple(reports))
+    return RiccatiSolution(pi, gates)
 
 
 def lqr_policy(
@@ -151,11 +150,8 @@ def lqr_policy(
     horizon, n, m = sys.horizon, sys.n, sys.m
     if ric.Pi.shape != (horizon + 1, n, n):
         raise DimensionMismatch("Riccati solution does not match the system")
-    gains = np.zeros((horizon, m, n))
-    covs = np.zeros((horizon, m, m))
-    for k in range(horizon):
-        gains[k] = -np.linalg.solve(ric.gates[k], sys.B[k].T @ ric.Pi[k + 1] @ sys.A[k])
-        covs[k] = epsilon * symmetrize(np.linalg.inv(ric.gates[k]))
+    gains = -np.linalg.solve(ric.gates, np.swapaxes(sys.B, 1, 2) @ ric.Pi[1:] @ sys.A)
+    covs = epsilon * symmetrize(np.linalg.inv(ric.gates))
     feed = np.zeros((horizon, m))
     if terminal_target is not None and np.any(terminal_target):
         _require_invertible(sys.A)

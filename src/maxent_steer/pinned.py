@@ -251,8 +251,8 @@ def conditional_gaussian_oracle(sys: LinearSystemModel, x0bar, target) -> Pinned
         raise DimensionMismatch("boundary points have wrong dimension")
     pipe = _Pipeline(sys)
     horizon, n = sys.horizon, sys.n
-    gcn = np.stack(pipe.gcn[:horizon])
-    mk = np.stack(pipe.mk)  # map back to original coordinates: x_k = mk[k] y_k
+    gcn = pipe.gcn[:horizon]
+    mk = pipe.mk  # map back to original coordinates: x_k = mk[k] y_k
     mk_t = np.swapaxes(mk, -1, -2)
     g0 = pipe.phic[0] @ _xd(x0bar)  # normalized mean, constant over time
     y_obs = pipe.phic[horizon] @ _xd(xt)
@@ -408,8 +408,7 @@ def bridge_verify(
     # R1, R2 the controllability Gramians of [k, N] of the reference and optimal
     # processes; R1 = Phi(k, 0) Gc^{1/2} (I - gcn_k) Gc^{1/2} Phi(k, 0)^T in the
     # normalized coordinates and R2 = Phi_Q(k, N) G_r,Q(N, k) Phi_Q(k, N)^T
-    mk = np.stack(pipe.mk)
-    gcn = np.stack(pipe.gcn)
+    mk, gcn = pipe.mk, pipe.gcn
     r1 = symmetrize(mk @ (gcn[horizon] - gcn) @ np.swapaxes(mk, -1, -2))
     phi_q = opt_pieces.phi_n
     r2 = symmetrize(solve_linear(phi_q, np.swapaxes(solve_linear(phi_q, opt_pieces.gr), -1, -2)))

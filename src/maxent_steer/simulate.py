@@ -162,10 +162,11 @@ def propagate_policy_moments(sys: LinearSystemModel, policy, initial):
     covs = np.zeros((horizon + 1, n, n))
     means[0] = mean0
     covs[0] = cov0
+    a_cl = sys.A + sys.B @ policy.gains
+    noise = sys.B @ policy.noise_covs @ np.swapaxes(sys.B, 1, 2)
     for k in range(horizon):
-        a_cl = sys.A[k] + sys.B[k] @ policy.gains[k]
         means[k + 1] = sys.A[k] @ means[k] + sys.B[k] @ policy.mean_control(k, means[k])
-        cov = a_cl @ covs[k] @ a_cl.T + sys.B[k] @ policy.noise_covs[k] @ sys.B[k].T
+        cov = a_cl[k] @ covs[k] @ a_cl[k].T + noise[k]
         covs[k + 1] = (cov + cov.T) / 2
     return means, covs
 

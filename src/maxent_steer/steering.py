@@ -18,7 +18,8 @@ Riccati sweep of :mod:`maxent_steer.lqr` from the terminal weight Q_N^{-1}.
 This module builds no transition product or Gramian of its own: they come
 from :mod:`maxent_steer.system`, whose feasibility check builds the
 normalized ``_Pipeline`` once per solve; mean steering reads
-``_backward_sweep``.
+``_backward_sweep``. The P and Q sequences and the mean-steering input are
+stacked expressions over all steps, one kernel call per stack.
 """
 
 from __future__ import annotations
@@ -115,8 +116,9 @@ def _minus_pair(pipe: _Pipeline) -> LyapunovPair:
     """
     qn0 = symmetrize(pipe.s0h @ solve_linear(pipe.f_core, pipe.s0h))
     pn0 = symmetrize(inv(inv(pipe.s0) - inv(qn0)))
-    q_seq = [symmetrize(mk @ (qn0 - gcn) @ mk.T) for mk, gcn in zip(pipe.mk, pipe.gcn)]
-    p_seq = [symmetrize(mk @ (pn0 + gcn) @ mk.T) for mk, gcn in zip(pipe.mk, pipe.gcn)]
+    mk_t = np.swapaxes(pipe.mk, -1, -2)
+    q_seq = symmetrize(pipe.mk @ (qn0 - pipe.gcn) @ mk_t)
+    p_seq = symmetrize(pipe.mk @ (pn0 + pipe.gcn) @ mk_t)
     # Q_N is invertible: normalized it is s0h f_core^{-1} (root - I/2) s0h^{-1},
     # root > I/2, and the feasibility check found f_core invertible
     try:
@@ -222,7 +224,7 @@ def mean_steering(sys: LinearSystemModel, mu0, mu_terminal):
     """
     mu0 = np.asarray(mu0, dtype=np.float64)
     mu_t = np.asarray(mu_terminal, dtype=np.float64)
-    horizon, n, m = sys.horizon, sys.n, sys.m
+    horizon, n = sys.horizon, sys.n
     if mu0.shape != (n,) or mu_t.shape != (n,):
         raise DimensionMismatch("boundary means have wrong dimension")
     a = _xd(sys.A)
@@ -231,12 +233,12 @@ def mean_steering(sys: LinearSystemModel, mu0, mu_terminal):
     if rcond_sym(gr[0]) <= INVERTIBILITY_RCOND:
         raise SingularGramian("reachability Gramian of the full horizon is singular")
     y = solve_linear(gr[0], _xd(mu_t) - phi_n[0] @ _xd(mu0))
-    ubar = np.zeros((horizon, m), dtype=_X)
+    ubar = (np.swapaxes(b, 1, 2) @ (np.swapaxes(phi_n[1:], 1, 2) @ y)[:, :, None])[:, :, 0]
+    bu = (b @ ubar[:, :, None])[:, :, 0]
     mu = np.zeros((horizon + 1, n), dtype=_X)
     mu[0] = _xd(mu0)
     for k in range(horizon):
-        ubar[k] = b[k].T @ (phi_n[k + 1].T @ y)
-        mu[k + 1] = a[k] @ mu[k] + b[k] @ ubar[k]
+        mu[k + 1] = a[k] @ mu[k] + bu[k]
     return _f64(ubar), _f64(mu)
 
 
@@ -287,20 +289,13 @@ def _plus_branch_gates(sys: LinearSystemModel, sigma0, sigma_terminal, epsilon: 
     horizon, n, m = sys.horizon, sys.n, sys.m
     core_plus = 2 * pipe.s0 + np.eye(n, dtype=_X) - pipe.f_core  # S0 + I/2 + root
     qn0 = symmetrize(pipe.s0h @ solve_linear(core_plus, pipe.s0h))
-
-    q_seq = np.zeros((horizon + 1, n, n))
+    q_seq = _f64(symmetrize(pipe.mk @ (qn0 - pipe.gcn) @ np.swapaxes(pipe.mk, -1, -2)))
+    invertible = all(rcond_sym(q) > INVERTIBILITY_RCOND for q in q_seq)
+    bn = pipe.phic[1:] @ pipe.B
     gate_min = np.full(horizon, np.nan)
-    invertible = True
-    for k in range(horizon + 1):
-        mk = pipe.mk[k]
-        q_seq[k] = _f64(symmetrize(mk @ (qn0 - pipe.gcn[k]) @ mk.T))
-        if rcond_sym(q_seq[k]) <= INVERTIBILITY_RCOND:
-            invertible = False
-        if k == horizon:
-            break
-        bn = pipe.phic[k + 1] @ pipe.B[k]
+    for k in range(horizon):
         try:
-            gate = symmetrize(np.eye(m, dtype=_X) + bn.T @ solve_linear(qn0 - pipe.gcn[k + 1], bn))
+            gate = symmetrize(np.eye(m, dtype=_X) + bn[k].T @ solve_linear(qn0 - pipe.gcn[k + 1], bn[k]))
         except np.linalg.LinAlgError:
             invertible = False
         else:

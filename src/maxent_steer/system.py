@@ -10,8 +10,10 @@ Gramians, and :mod:`~maxent_steer.steering` and :mod:`~maxent_steer.pinned`
 read their per-step matrices from them: :func:`_backward_sweep` gives
 Phi(N, k) and G_r(N, k) in the dtype of its inputs, :func:`_forward_gramians`
 G_r(k, 0), and :class:`_Pipeline` the extended-precision normalized
-coordinates of the density solver. :func:`_a_condition` alone decides
-whether an A_k counts as invertible.
+coordinates of the density solver. Only true recurrences (transition
+products, forward Gramians) loop over steps: Gramian increments are one
+stacked product and one running sum, bit for bit what a per-step loop gives.
+:func:`_a_condition` alone decides whether an A_k counts as invertible.
 """
 
 from __future__ import annotations
@@ -185,9 +187,17 @@ def _check_window(sys: LinearSystemModel, k1: int, k0: int):
 def _forward_gramians(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """G_r(k, 0) for k = 0..N by the recursion G <- A_k G A_k^T + B_k B_k^T."""
     g = np.zeros((a.shape[0] + 1,) + a.shape[1:], dtype=a.dtype)
+    bbt = b @ np.swapaxes(b, -1, -2)
     for k in range(a.shape[0]):
-        g[k + 1] = symmetrize(a[k] @ g[k] @ a[k].T + b[k] @ b[k].T)
+        g[k + 1] = symmetrize(a[k] @ g[k] @ a[k].T + bbt[k])
     return g
+
+
+def _gram_sums(w):
+    """Running sums S_0 = 0, S_{k+1} = S_k + w_k w_k^T of the stacked w_k, exactly symmetric
+    (each w_k w_k^T is one triangle, mirrored) and equal to one addition per step."""
+    inc = w @ np.swapaxes(w, -1, -2)
+    return np.cumsum(np.concatenate([np.zeros_like(inc[:1]), inc]), axis=0)
 
 
 def _pullback_sweep(a, b):
@@ -209,13 +219,10 @@ def _pullback_sweep(a, b):
                 raise SingularA(k) from None
         raise
     phi = np.empty((horizon + 1, n, n), dtype=a.dtype)
-    gc = np.zeros_like(phi)
     phi[0] = eye
     for k in range(horizon):
         phi[k + 1] = phi[k] @ a_inv[k]
-        w = phi[k + 1] @ b[k]
-        gc[k + 1] = gc[k] + w @ w.T
-    return phi, gc
+    return phi, _gram_sums(phi[1:] @ b)
 
 
 def _backward_sweep(a, b):
@@ -229,13 +236,11 @@ def _backward_sweep(a, b):
     b = np.asarray(b, dtype=a.dtype)
     horizon, n = a.shape[0], a.shape[1]
     phi = np.empty((horizon + 1, n, n), dtype=a.dtype)
-    gr = np.zeros_like(phi)
     phi[horizon] = np.eye(n)
     for k in range(horizon - 1, -1, -1):
-        w = phi[k + 1] @ b[k]
-        gr[k] = symmetrize(gr[k + 1] + w @ w.T)
         phi[k] = phi[k + 1] @ a[k]
-    return phi, gr
+    # exact on symmetric sums, and like a per-step symmetrize it overflows past half the range
+    return phi, symmetrize(_gram_sums((phi[1:] @ b)[::-1])[::-1])
 
 
 def reachability_gramian(sys: LinearSystemModel, k1: int, k0: int) -> SymMatrix:
@@ -288,9 +293,9 @@ class _Pipeline:
 
     The state y_k = phic[k] x_k with ``phic[k]`` = Gc^{-1/2} Phi(0, k) (Gc the
     full-horizon controllability Gramian) follows the pure integrator
-    y_{k+1} = y_k + bn_k u_k with input columns bn_k = phic[k+1] B_k. Kept per
-    step: ``phic[k]``, its inverse ``mk[k]`` = Phi(k, 0) Gc^{1/2} and the
-    partial sums ``gcn[k]`` = sum_{j<k} bn_j bn_j^T (gcn[N] = I up to
+    y_{k+1} = y_k + bn_k u_k with input columns bn_k = phic[k+1] B_k. Stacked
+    (N+1, n, n) over k = 0..N: ``phic``, its inverses ``mk`` = Phi(k, 0) Gc^{1/2}
+    and the partial sums ``gcn`` = sum_{j<k} bn_j bn_j^T (gcn[N] = I up to
     round-off). Given boundary covariances it also holds the normalized
     boundary ``s0``, ``sn``, ``s0h`` = s0^{1/2} and the forward and backward
     factors ``f_core`` + ``b_core`` = I.
@@ -311,13 +316,12 @@ class _Pipeline:
                 "controllability Gramian of the full horizon is singular at tolerance"
             )
         gcih = symmetrize((v / np.sqrt(w)) @ v.T)
-        self.phic = [gcih @ p for p in phi0]
-        self.mk = [symmetrize((v * np.sqrt(w)) @ v.T)]
-        self.gcn = [np.zeros((n, n), dtype=_X)]
+        self.phic = gcih @ phi0
+        self.mk = np.empty_like(phi0)
+        self.mk[0] = symmetrize((v * np.sqrt(w)) @ v.T)
         for k in range(horizon):
-            bn = self.phic[k + 1] @ self.B[k]
-            self.gcn.append(symmetrize(self.gcn[k] + bn @ bn.T))
-            self.mk.append(self.A[k] @ self.mk[k])
+            self.mk[k + 1] = self.A[k] @ self.mk[k]
+        self.gcn = _gram_sums(self.phic[1:] @ self.B)
         if sigma0 is None:
             return
         pn = self.phic[horizon]

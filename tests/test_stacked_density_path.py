@@ -1,0 +1,330 @@
+"""The density-synthesis path computes once per stack of steps: each stacked
+expression gives, bit for bit (signs of zero included), what the per-step
+loop it replaced gave. The per-step loops are kept here as references."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from maxent_steer import (
+    GateNotPD,
+    GaussianMarginal,
+    LinearSystemModel,
+    SymMatrix,
+    general_policy,
+    lqr_policy,
+    mean_steering,
+    propagate_policy_moments,
+    riccati_backward,
+    solve_coupled_lyapunov,
+)
+from maxent_steer.linalg import definiteness, inv, solve_linear, sym_eig, symmetrize
+from maxent_steer.steering import _minus_pair
+from maxent_steer.system import _backward_sweep, _forward_gramians, _pullback_sweep, _validate
+
+from conftest import DEMO_A, DEMO_B, DEMO_SIGMA0, DEMO_SIGMA_T, DEMO_X0, DEMO_XT
+
+X = np.longdouble
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (
+        got.shape == want.shape
+        and got.dtype == want.dtype
+        and np.array_equal(got, want)
+        and np.array_equal(np.signbit(got), np.signbit(want))
+    )
+
+
+# ---------------------------------------------------------------------------
+# per-step reference loops
+# ---------------------------------------------------------------------------
+
+
+def loop_pullback_sweep(a, b):
+    horizon, n = a.shape[0], a.shape[1]
+    eye = np.eye(n, dtype=a.dtype)
+    a_inv = solve_linear(a, eye)
+    phi = np.empty((horizon + 1, n, n), dtype=a.dtype)
+    gc = np.zeros_like(phi)
+    phi[0] = eye
+    for k in range(horizon):
+        phi[k + 1] = phi[k] @ a_inv[k]
+        w = phi[k + 1] @ b[k]
+        gc[k + 1] = gc[k] + w @ w.T
+    return phi, gc
+
+
+def loop_backward_sweep(a, b):
+    a = np.asarray(a)
+    b = np.asarray(b, dtype=a.dtype)
+    horizon, n = a.shape[0], a.shape[1]
+    phi = np.empty((horizon + 1, n, n), dtype=a.dtype)
+    gr = np.zeros_like(phi)
+    phi[horizon] = np.eye(n)
+    for k in range(horizon - 1, -1, -1):
+        w = phi[k + 1] @ b[k]
+        gr[k] = symmetrize(gr[k + 1] + w @ w.T)
+        phi[k] = phi[k + 1] @ a[k]
+    return phi, gr
+
+
+def loop_forward_gramians(a, b):
+    g = np.zeros((a.shape[0] + 1,) + a.shape[1:], dtype=a.dtype)
+    for k in range(a.shape[0]):
+        g[k + 1] = symmetrize(a[k] @ g[k] @ a[k].T + b[k] @ b[k].T)
+    return g
+
+
+def loop_pipeline_fields(sys):
+    """``phic``, ``mk`` and ``gcn`` of the normalized coordinates, one step at a time."""
+    a, b = sys.A.astype(X), sys.B.astype(X)
+    horizon, n = sys.horizon, sys.n
+    phi0, gc = loop_pullback_sweep(a, b)
+    w, v = sym_eig(symmetrize(gc[horizon]))
+    gcih = symmetrize((v / np.sqrt(w)) @ v.T)
+    phic = [gcih @ p for p in phi0]
+    mk = [symmetrize((v * np.sqrt(w)) @ v.T)]
+    gcn = [np.zeros((n, n), dtype=X)]
+    for k in range(horizon):
+        bn = phic[k + 1] @ b[k]
+        gcn.append(symmetrize(gcn[k] + bn @ bn.T))
+        mk.append(a[k] @ mk[k])
+    return np.array(phic), np.array(mk), np.array(gcn)
+
+
+def loop_riccati(sys, terminal_weight):
+    horizon, n, m = sys.horizon, sys.n, sys.m
+    pi = np.zeros((horizon + 1, n, n))
+    gates = np.zeros((horizon, m, m))
+    pi[horizon] = SymMatrix(terminal_weight).data
+    eye_m = np.eye(m)
+    for k in range(horizon - 1, -1, -1):
+        a, b = sys.A[k], sys.B[k]
+        pb = pi[k + 1] @ b
+        gate = symmetrize(eye_m + b.T @ pb)
+        report = definiteness(gate)
+        if not report.is_pd:
+            raise GateNotPD(k, f"gate at step {k} has min eigenvalue {report.min_eig:.3e}")
+        gates[k] = gate
+        pa = pi[k + 1] @ a
+        pi[k] = symmetrize(a.T @ pa - pa.T @ b @ np.linalg.solve(gate, b.T @ pa))
+    return pi, gates
+
+
+def loop_lqr_policy(sys, pi, gates, terminal_target=None, epsilon=1.0):
+    horizon, n, m = sys.horizon, sys.n, sys.m
+    gains = np.zeros((horizon, m, n))
+    covs = np.zeros((horizon, m, m))
+    for k in range(horizon):
+        gains[k] = -np.linalg.solve(gates[k], sys.B[k].T @ pi[k + 1] @ sys.A[k])
+        covs[k] = epsilon * symmetrize(np.linalg.inv(gates[k]))
+    feed = np.zeros((horizon, m))
+    if terminal_target is not None and np.any(terminal_target):
+        z = np.asarray(terminal_target, dtype=np.float64)
+        for k in range(horizon - 1, -1, -1):
+            z = np.linalg.solve(sys.A[k], z)
+            feed[k] = -gains[k] @ z
+    return gains, feed, (covs + np.swapaxes(covs, 1, 2)) / 2
+
+
+def loop_minus_pair(pipe):
+    """P, Q, gates, gains and unit-weight noise of the minus branch."""
+    qn0 = symmetrize(pipe.s0h @ solve_linear(pipe.f_core, pipe.s0h))
+    pn0 = symmetrize(inv(inv(pipe.s0) - inv(qn0)))
+    _, mk, gcn = loop_pipeline_fields(pipe.sys)
+    q_seq = [symmetrize(m @ (qn0 - g) @ m.T) for m, g in zip(mk, gcn)]
+    p_seq = [symmetrize(m @ (pn0 + g) @ m.T) for m, g in zip(mk, gcn)]
+    pi, gates = loop_riccati(pipe.sys, np.asarray(inv(q_seq[-1]), dtype=np.float64))
+    gains, _, noise = loop_lqr_policy(pipe.sys, pi, gates)
+    as64 = lambda s: np.asarray(s, dtype=np.float64)  # noqa: E731
+    return as64(p_seq), as64(q_seq), gates, gains, noise
+
+
+def loop_mean_steering(sys, mu0, mu_terminal):
+    a, b = sys.A.astype(X), sys.B.astype(X)
+    horizon, n, m = sys.horizon, sys.n, sys.m
+    phi_n, gr = loop_backward_sweep(a, b)
+    y = solve_linear(gr[0], np.asarray(mu_terminal, dtype=X) - phi_n[0] @ np.asarray(mu0, dtype=X))
+    ubar = np.zeros((horizon, m), dtype=X)
+    mu = np.zeros((horizon + 1, n), dtype=X)
+    mu[0] = np.asarray(mu0, dtype=X)
+    for k in range(horizon):
+        ubar[k] = b[k].T @ (phi_n[k + 1].T @ y)
+        mu[k + 1] = a[k] @ mu[k] + b[k] @ ubar[k]
+    return np.asarray(ubar, dtype=np.float64), np.asarray(mu, dtype=np.float64)
+
+
+def loop_policy_moments(sys, policy, initial):
+    if isinstance(initial, GaussianMarginal):
+        mean0, cov0 = initial.mean, initial.cov.data
+    else:
+        mean0 = np.asarray(initial, dtype=np.float64)
+        cov0 = np.zeros((sys.n, sys.n))
+    horizon, n = sys.horizon, sys.n
+    means = np.zeros((horizon + 1, n))
+    covs = np.zeros((horizon + 1, n, n))
+    means[0] = mean0
+    covs[0] = cov0
+    for k in range(horizon):
+        a_cl = sys.A[k] + sys.B[k] @ policy.gains[k]
+        means[k + 1] = sys.A[k] @ means[k] + sys.B[k] @ policy.mean_control(k, means[k])
+        cov = a_cl @ covs[k] @ a_cl.T + sys.B[k] @ policy.noise_covs[k] @ sys.B[k].T
+        covs[k + 1] = (cov + cov.T) / 2
+    return means, covs
+
+
+# ---------------------------------------------------------------------------
+# plants
+# ---------------------------------------------------------------------------
+
+
+def _time_varying():
+    rng = np.random.default_rng(1)
+    horizon = 100
+    a = np.eye(4) + 0.08 * rng.standard_normal((horizon, 4, 4))
+    b = 0.3 * rng.standard_normal((horizon, 4, 2))
+    sys = LinearSystemModel(a, b, horizon)
+    sig0, sig_t = np.diag([1.0, 2.0, 0.5, 1.5]), 0.2 * np.eye(4) + 0.05
+    return sys, sig0, sig_t, 0.7, rng.standard_normal(4), rng.standard_normal(4)
+
+
+def _square_input():
+    rng = np.random.default_rng(5)
+    a = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
+    b = 0.4 * rng.standard_normal((3, 3))
+    sys = LinearSystemModel(a, b, 30)
+    return sys, np.diag([1.0, 2.0, 3.0]), 0.5 * np.eye(3), 1.3, np.array([1.0, -1.0, 0.5]), np.zeros(3)
+
+
+def _zero_input_step():
+    horizon = 20
+    b = np.stack([DEMO_B] * horizon)
+    b[5] = 0.0
+    return LinearSystemModel(DEMO_A, b, horizon), DEMO_SIGMA0, DEMO_SIGMA_T, 1.0, DEMO_X0, DEMO_XT
+
+
+PLANTS = {
+    "demo-N50": lambda: (
+        LinearSystemModel(DEMO_A, DEMO_B, 50), DEMO_SIGMA0, DEMO_SIGMA_T, 1.0, DEMO_X0, DEMO_XT
+    ),
+    "tv-n4-m2-N100": _time_varying,
+    "n1": lambda: (LinearSystemModel([[1.1]], [[0.5]], 20), [[2.0]], [[0.5]], 0.4, [0.3], [-1.0]),
+    "m-equals-n": _square_input,
+    "zero-B5": _zero_input_step,
+}
+
+
+@pytest.fixture(scope="module", params=sorted(PLANTS))
+def plant(request):
+    sys, sig0, sig_t, eps, mu0, mu_t = PLANTS[request.param]()
+    sig0, sig_t = np.asarray(sig0, dtype=float), np.asarray(sig_t, dtype=float)
+    report, pipe = _validate(sys, sig0, sig_t, eps)
+    assert report.feasible, report.diagnostics
+    return sys, sig0, sig_t, eps, np.asarray(mu0, dtype=float), np.asarray(mu_t, dtype=float), pipe
+
+
+# ---------------------------------------------------------------------------
+# stacked == per-step
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dtype", [np.float64, X])
+def test_sweeps(plant, dtype):
+    sys = plant[0]
+    a, b = sys.A.astype(dtype), sys.B.astype(dtype)
+    for got, want in zip(_backward_sweep(a, b), loop_backward_sweep(a, b)):
+        assert same_bits(got, want)
+    for got, want in zip(_pullback_sweep(a, b), loop_pullback_sweep(a, b)):
+        assert same_bits(got, want)
+    assert same_bits(_forward_gramians(a, b), loop_forward_gramians(a, b))
+
+
+def test_backward_sweep_overflows_where_the_loop_did():
+    """Float64 sums past half the range read inf, as the per-step symmetrize made them."""
+    sys = LinearSystemModel(DEMO_A, DEMO_B, 2000)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _backward_sweep(sys.A, sys.B)
+        want = loop_backward_sweep(sys.A, sys.B)
+    assert not np.isfinite(want[1]).all()
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w, equal_nan=True)
+        assert np.array_equal(np.signbit(g), np.signbit(w))
+
+
+def test_pipeline_fields(plant):
+    pipe = plant[-1]
+    phic, mk, gcn = loop_pipeline_fields(pipe.sys)
+    assert same_bits(pipe.phic, phic)
+    assert same_bits(pipe.mk, mk)
+    assert same_bits(pipe.gcn, gcn)
+
+
+def test_minus_pair(plant):
+    lyap = _minus_pair(plant[-1])
+    p, q, gates, gains, noise = loop_minus_pair(plant[-1])
+    assert same_bits(lyap.P, p)
+    assert same_bits(lyap.Q, q)
+    assert same_bits(lyap.gates, gates)
+    assert same_bits(lyap.gains, gains)
+    assert same_bits(lyap.noise_base, noise)
+
+
+def test_riccati_and_lqr_policy(plant):
+    sys, sig0, sig_t, eps, _, mu_t, _ = plant
+    weight = np.linalg.inv(solve_coupled_lyapunov(sys, sig0, sig_t, eps).Q[-1])
+    ric = riccati_backward(sys, weight, eps)
+    pi, gates = loop_riccati(sys, weight)
+    assert same_bits(ric.Pi, pi)
+    assert same_bits(ric.gates, gates)
+    policy = lqr_policy(sys, ric, mu_t, eps)
+    for got, want in zip(
+        (policy.gains, policy.feedforwards, policy.noise_covs),
+        loop_lqr_policy(sys, pi, gates, mu_t, eps),
+    ):
+        assert same_bits(got, want)
+
+
+def test_mean_steering(plant):
+    sys, *_, mu0, mu_t, _ = plant
+    for got, want in zip(mean_steering(sys, mu0, mu_t), loop_mean_steering(sys, mu0, mu_t)):
+        assert same_bits(got, want)
+
+
+def test_policy_moments(plant):
+    sys, sig0, sig_t, eps, mu0, mu_t, _ = plant
+    initial = GaussianMarginal(mu0, sig0)
+    policy = general_policy(sys, initial, GaussianMarginal(mu_t, sig_t), eps)
+    for start in (initial, mu0):
+        for got, want in zip(
+            propagate_policy_moments(sys, policy, start), loop_policy_moments(sys, policy, start)
+        ):
+            assert same_bits(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the gate check
+# ---------------------------------------------------------------------------
+
+
+def test_gate_not_pd_at_interior_step_of_multi_input_sweep():
+    sys = LinearSystemModel(np.eye(2), np.eye(2), 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(GateNotPD) as info:
+            riccati_backward(sys, -0.6 * np.eye(2))
+    assert info.value.step == 3
+    assert str(info.value) == "gate at step 3 has min eigenvalue -5.000e-01"
+
+
+def test_gate_below_the_definiteness_tolerance_is_refused():
+    """A positive gate under 1e-10 * max(1, |max eig|) does not count as positive definite."""
+    sys = LinearSystemModel(np.eye(1), np.eye(1), 2)
+    gate = 1.0 + (-1.0 + 1e-11)
+    assert gate > 0 and not definiteness([[gate]]).is_pd
+    with pytest.raises(GateNotPD) as info:
+        riccati_backward(sys, [[-1.0 + 1e-11]])
+    assert info.value.step == 1
+    assert str(info.value) == f"gate at step 1 has min eigenvalue {gate:.3e}"
