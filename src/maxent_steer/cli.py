@@ -58,8 +58,8 @@ def ellipse_points(cov, level: float, count: int):
         raise NotTwoDimensional(f"ellipse output needs a 2x2 covariance, got {cov.n}x{cov.n}")
     if not definiteness(cov).is_pd:
         raise NotPD("covariance must be positive definite for an ellipse boundary")
-    if count < 1:
-        raise ValueError("point count must be at least 1")
+    if count < 1 or not (np.isfinite(level) and level > 0):
+        raise ValueError(f"need a point count >= 1 and a finite level > 0, got {count} and {level}")
     root = psd_sqrt(cov).data
     angles = np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)
     circle = np.stack([np.cos(angles), np.sin(angles)])
@@ -232,9 +232,9 @@ def cmd_bridge_check(spec_path, epsilon_override, tolerance):
 @click.option("--spec", "spec_path", required=True, type=click.Path())
 @click.option("--which", type=click.Choice(["initial", "terminal"]), default="terminal",
               show_default=True, help="Which boundary covariance to trace.")
-@click.option("--level", type=float, default=3.0, show_default=True,
+@click.option("--level", type=click.FloatRange(min=0, min_open=True), default=3.0, show_default=True,
               help="Mahalanobis radius of the boundary.")
-@click.option("--points", type=int, default=360, show_default=True)
+@click.option("--points", type=click.IntRange(min=1), default=360, show_default=True)
 @click.option("--out", "out_path", required=True, type=click.Path())
 def cmd_ellipse(spec_path, which, level, points, out_path):
     """Write covariance-ellipse boundary points for a density-mode spec."""
@@ -243,9 +243,9 @@ def cmd_ellipse(spec_path, which, level, points, out_path):
     marginal = spec.initial if which == "initial" else spec.terminal
     try:
         angles, pts = ellipse_points(marginal.cov, level, points)
-    except _INPUT_ERRORS as exc:
+    except (*_INPUT_ERRORS, ValueError) as exc:
         _bail(exc, 2)
-    except (SteeringError, ValueError) as exc:
+    except SteeringError as exc:
         _bail(exc, 1)
     specio.write_ellipse_csv(out_path, angles, pts)
     click.echo(f"{points} boundary points written to {out_path}")

@@ -7,21 +7,25 @@ Public surface: :class:`SymMatrix`, :class:`DefinitenessReport`,
 The module also hosts dtype-generic kernels (``solve_linear``, ``sym_eig``,
 ``psd_sqrt_raw``, ``pinv_sym``) that work on ``float64`` and
 ``np.longdouble`` alike.  LAPACK only operates in double precision, so the
-extended-precision path falls back to a partial-pivot LU and a cyclic
-Jacobi eigensolver; the boundary-coupled recursions in
+extended-precision path falls back to a partial-pivot LU and a Jacobi
+eigensolver; the boundary-coupled recursions in
 :mod:`maxent_steer.steering` and :mod:`maxent_steer.pinned` run on those to
 keep round-off below the contract tolerances on long, badly conditioned
-horizons.
+horizons. For n >= 3 the Jacobi sweeps start from LAPACK's float64
+eigenvectors refined to the working precision, and each round-robin round
+turns n/2 disjoint pairs at once, so a matrix converges in about one sweep
+of n - 1 rounds; n <= 2 starts from I, where one rotation is exact.
 
 Like ``numpy.linalg``, the kernels take stacks ``(..., n, n)`` (``solve_linear``
 also a right-hand side ``(n,)`` or ``(..., n, k)``). The pure-numpy kernels
-pay Python overhead per pivot and per rotation, not per matrix, so a stack
-costs about what one matrix does: called once per step, they took about 75%
-of :func:`~maxent_steer.pinned.bridge_verify`, and callers that loop over
-steps should pass the whole stack instead. Each matrix in a stack gets
-exactly the pivots and rotations it would get alone (a matrix leaves the
-Jacobi sweeps when it has converged, and is left out of the rotations it
-skips), so a stacked result is bit-identical to the per-matrix one.
+pay Python overhead per pivot and per round of rotations, not per matrix, so
+a stack costs about what one matrix does: called once per step, they took
+about 75% of :func:`~maxent_steer.pinned.bridge_verify`, and callers that
+loop over steps should pass the whole stack instead. Each matrix in a stack
+gets exactly the pivots and rotations it would get alone (a matrix leaves
+the Jacobi sweeps when it has converged, and a pair below its threshold
+turns by the identity), so a stacked result is bit-identical to the
+per-matrix one.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ __all__ = [
 DEFINITENESS_RTOL = 1e-10
 #: relative singular-value cutoff for pseudoinverses
 PINV_RCOND = 1e-12
+# sweep limit of the Jacobi eigensolver; a seeded matrix converges in one or two
+_MAX_SWEEPS = 64
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -202,60 +208,82 @@ def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x[..., 0] if vec else x
 
 
-def _jacobi_eigh(m: np.ndarray, max_sweeps: int = 64):
-    """Cyclic Jacobi eigendecomposition of symmetric matrices, dtype-generic.
+def _round_robin(n: int):
+    """Brent-Luk round-robin: (rounds, pairs) arrays of p < q, every pair once in n - 1 (even n) or n rounds.
+
+    With m = n rounded up to even, round r pairs r with m - 1 (a dummy for odd
+    n, so that pair is dropped) and r + k with r - k modulo m - 1.
+    """
+    m = n + n % 2
+    r, k = np.arange(m - 1)[:, None], np.arange(n % 2, m // 2)
+    i, j = (r + k) % (m - 1), np.where(k == 0, m - 1, (r - k) % (m - 1))
+    return np.minimum(i, j), np.maximum(i, j)
+
+
+def _jacobi_eigh(m: np.ndarray):
+    """Jacobi eigendecomposition of symmetric matrices, dtype-generic.
 
     ``m`` is (..., n, n). Returns eigenvalues in ascending order and the
-    matching eigenvectors as columns, like ``np.linalg.eigh``. Each matrix
-    of the stack gets exactly the rotations it would get alone: it leaves
-    the sweeps once it has converged, and is left out of each rotation it
-    would skip.
+    matching eigenvectors as columns, like ``np.linalg.eigh``. For n >= 3 the
+    sweeps start from LAPACK's eigenvectors of each matrix, scaled by a power
+    of two into the double range and re-orthonormalized by one Newton-Schulz
+    step; a non-finite matrix, and any with n <= 2, starts from I. A sweep is
+    the rounds of :func:`_round_robin`. Each matrix of the stack gets exactly
+    the rotations it would get alone: it leaves the sweeps once it has
+    converged, and a pair below its threshold turns by the identity.
     """
     m = symmetrize(m)
     lead, n = m.shape[:-2], m.shape[-1]
+    a = m.reshape((-1, n, n))
     # the matrices (rows :n) and their eigenvectors (rows n:) share one buffer,
     # so that one column rotation turns both
-    av = np.zeros((int(np.prod(lead)), 2 * n, n), dtype=m.dtype)
-    av[:, :n] = m.reshape((-1, n, n))
-    av[:, n:] = np.eye(n)
-    a = av[:, :n]
+    av = np.empty((len(a), 2 * n, n), dtype=m.dtype)
+    av[:, :n], av[:, n:] = a, np.eye(n)
+    if n > 2:
+        top = np.abs(a).max(axis=(1, 2), keepdims=True)
+        fin = np.isfinite(top)
+        e = np.frexp(np.where(fin, top, 1))[1]
+        x = np.linalg.eigh(np.where(fin, np.ldexp(a, -e), 0).astype(np.float64))[1]
+        x = np.where(fin, x, np.eye(n)).astype(m.dtype)
+        x = x @ (3 * np.eye(n) - np.swapaxes(x, 1, 2) @ x) / 2
+        av[:, :n] = np.where(fin, symmetrize(np.swapaxes(x, 1, 2) @ np.where(fin, a, 0) @ x), a)
+        av[:, n:] = x
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     eps = np.finfo(m.dtype).eps
-    live = np.arange(len(av))
-    for _ in range(max_sweeps):
-        # basic indexing (views) while the whole stack is live
-        rows = slice(None) if live.size == len(av) else live
-        off = np.sqrt(np.sum((np.where(upper, a[rows], 0) ** 2).reshape(live.size, -1), axis=1))
+    rounds = _round_robin(n)
+    cur, live = av, np.arange(len(av))
+    for _ in range(_MAX_SWEEPS):
+        a = cur[:, :n]
+        off = np.sqrt(np.sum((np.where(upper, a, 0) ** 2).reshape(len(a), -1), axis=1))
         # max(1, |a|_max) rounded to double, as a NaN-ignoring maximum
-        scale = np.fmax(1.0, np.abs(a[rows]).max(axis=(1, 2)).astype(np.float64))
+        scale = np.fmax(1.0, np.abs(a).max(axis=(1, 2)).astype(np.float64))
         done = off <= n * eps * scale
         if done.any():
-            live, scale = live[~done], scale[~done]
-            rows = live
-            if live.size == 0:
+            av[live] = cur
+            if done.all():
                 break
-        thresh = eps * scale / n
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                skip = np.abs(a[rows, p, q]) <= thresh
-                sel = rows
-                if skip.any():
-                    sel = live[~skip]
-                    if sel.size == 0:
-                        continue
-                apq = a[sel, p, q]
-                tau = (a[sel, q, q] - a[sel, p, p]) / (2 * apq)
-                t = np.sign(tau) / (np.abs(tau) + np.sqrt(1 + tau * tau))
-                t[tau == 0] = 1
-                c = 1 / np.sqrt(1 + t * t)
-                s = (t * c)[:, None]
-                c = c[:, None]
-                rp, rq = a[sel, p], a[sel, q]
-                a[sel, p], a[sel, q] = c * rp - s * rq, s * rp + c * rq
-                cp, cq = av[sel, :, p], av[sel, :, q]
-                av[sel, :, p], av[sel, :, q] = c * cp - s * cq, s * cp + c * cq
-                a[sel, p, q] = a[sel, q, p] = 0
-    w = np.diagonal(a, axis1=1, axis2=2)
+            cur, live, scale = cur[~done], live[~done], scale[~done]
+            a = cur[:, :n]
+        thresh = (eps * scale / n)[:, None]
+        for p, q in zip(*rounds):
+            apq = a[:, p, q]
+            skip = np.abs(apq) <= thresh
+            tau = (a[:, q, q] - a[:, p, p]) / (2 * np.where(skip, 1, apq))
+            t = np.sign(tau) / (np.abs(tau) + np.sqrt(1 + tau * tau))
+            t[tau == 0] = 1
+            t[skip] = 0
+            c = 1 / np.sqrt(1 + t * t)
+            s = t * c
+            rp, rq = a[:, p], a[:, q]
+            a[:, p], a[:, q] = c[..., None] * rp - s[..., None] * rq, s[..., None] * rp + c[..., None] * rq
+            cp, cq = cur[:, :, p], cur[:, :, q]
+            c, s = c[:, None], s[:, None]
+            cur[:, :, p], cur[:, :, q] = c * cp - s * cq, s * cp + c * cq
+            a[:, p, q] = np.where(skip, a[:, p, q], 0)
+            a[:, q, p] = np.where(skip, a[:, q, p], 0)
+    else:
+        av[live] = cur  # members still unconverged after _MAX_SWEEPS
+    w = np.diagonal(av[:, :n], axis1=1, axis2=2)
     order = np.argsort(w, axis=1)
     w = np.take_along_axis(w, order, axis=1)
     v = np.take_along_axis(av[:, n:], order[:, None, :], axis=2)
