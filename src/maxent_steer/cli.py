@@ -2,7 +2,7 @@
 
 Commands: validate, solve, steer, pin, bridge-check, ellipse. Exit status
 is 0 on success, 1 when a problem is infeasible or a verification fails,
-and 2 on malformed input.
+and 2 on malformed input, an output path that cannot be written included.
 """
 
 from __future__ import annotations
@@ -30,9 +30,17 @@ from .system import validate_assumptions
 _INPUT_ERRORS = (ParseError, DimensionMismatch, NotTwoDimensional, NonpositiveEpsilon)
 
 
-def _bail(exc: Exception, code: int):
+def _bail(exc: Exception | str, code: int):
     click.echo(f"error: {exc}", err=True)
     _sys.exit(code)
+
+
+def _write(write, path: str, *args, **kwargs):
+    """Call ``write(path, ...)``; a path that cannot be written exits 2."""
+    try:
+        write(path, *args, **kwargs)
+    except OSError as exc:
+        _bail(f"cannot write {path}: {exc.strerror or exc}", 2)
 
 
 def _load_spec(path: str) -> specio.ProblemSpec:
@@ -131,9 +139,8 @@ def cmd_solve(spec_path, out_path, epsilon_override):
     except SteeringError as exc:
         _bail(exc, 1)
     eigs = np.sort(np.linalg.eigvalsh(np.linalg.inv(lyap.Q[-1])))
-    specio.save_policy(
-        out_path,
-        policy,
+    _write(
+        specio.save_policy, out_path, policy,
         q_sequence=lyap.Q,
         diagnostics={"q_terminal_inverse_eigenvalues": [float(v) for v in eigs]},
     )
@@ -164,7 +171,7 @@ def _steer_impl(spec_path, policy_path, samples, seed, out_path, epsilon_overrid
         _bail(exc, 2)
     except SteeringError as exc:
         _bail(exc, 1)
-    specio.write_trajectory_csv(out_path, ens.states, ens.controls)
+    _write(specio.write_trajectory_csv, out_path, ens.states, ens.controls)
     click.echo(f"{count} trajectories ({ens.states.shape[1]} steps) written to {out_path}")
 
 
@@ -247,7 +254,7 @@ def cmd_ellipse(spec_path, which, level, points, out_path):
         _bail(exc, 2)
     except SteeringError as exc:
         _bail(exc, 1)
-    specio.write_ellipse_csv(out_path, angles, pts)
+    _write(specio.write_ellipse_csv, out_path, angles, pts)
     click.echo(f"{points} boundary points written to {out_path}")
 
 

@@ -208,6 +208,15 @@ def _lu_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x[..., 0] if vec else x
 
 
+def _cutoff(factor, top):
+    """``factor * max(1, top)``, NaN-ignoring, with max(1, top) rounded to double
+    where it fits one and kept in the working precision where it does not."""
+    big = top > np.finfo(np.float64).max
+    if big.any():
+        return np.where(big, factor * top, _cutoff(factor, np.where(big, 0, top)))
+    return factor * np.fmax(1.0, top.astype(np.float64))
+
+
 def _round_robin(n: int):
     """Brent-Luk round-robin: (rounds, pairs) arrays of p < q, every pair once in n - 1 (even n) or n rounds.
 
@@ -234,6 +243,8 @@ def _jacobi_eigh(m: np.ndarray):
     """
     m = symmetrize(m)
     lead, n = m.shape[:-2], m.shape[-1]
+    if m.size == 0:
+        return np.zeros(lead + (n,), m.dtype), np.zeros(m.shape, m.dtype)
     a = m.reshape((-1, n, n))
     # the matrices (rows :n) and their eigenvectors (rows n:) share one buffer,
     # so that one column rotation turns both
@@ -255,8 +266,7 @@ def _jacobi_eigh(m: np.ndarray):
     for _ in range(_MAX_SWEEPS):
         a = cur[:, :n]
         off = np.sqrt(np.sum((np.where(upper, a, 0) ** 2).reshape(len(a), -1), axis=1))
-        # max(1, |a|_max) rounded to double, as a NaN-ignoring maximum
-        scale = np.fmax(1.0, np.abs(a).max(axis=(1, 2)).astype(np.float64))
+        scale = _cutoff(1, np.abs(a).max(axis=(1, 2)))
         done = off <= n * eps * scale
         if done.any():
             av[live] = cur
@@ -335,16 +345,14 @@ def psd_sqrt_raw(m: np.ndarray, snap_tol: float = 0.0) -> np.ndarray:
     w, v = sym_eig(np.asarray(m))
     w = np.where(w < 0, 0, w)
     if snap_tol > 0 and w.size:
-        # max(1, max_eig) rounded to double, as a NaN-ignoring maximum
-        w = np.where(w <= snap_tol * np.fmax(1.0, w[..., -1:].astype(np.float64)), 0, w)
+        w = np.where(w <= _cutoff(snap_tol, w[..., -1:]), 0, w)
     return _sym_from_eig(np.sqrt(w), v)
 
 
 def pinv_sym(m: np.ndarray, rcond: float = PINV_RCOND) -> np.ndarray:
     """Moore-Penrose inverses of symmetric matrices (..., n, n) via their eigendecompositions."""
     w, v = sym_eig(np.asarray(m))
-    top = np.abs(w).max(axis=-1, keepdims=True, initial=0.0).astype(np.float64)
-    cutoff = rcond * np.fmax(1.0, top)
+    cutoff = _cutoff(rcond, np.abs(w).max(axis=-1, keepdims=True, initial=0.0))
     winv = np.where(np.abs(w) > cutoff, 1.0 / np.where(w == 0, 1, w), 0)
     return _sym_from_eig(winv, v)
 
