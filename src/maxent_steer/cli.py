@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Commands: validate, solve, steer, pin, bridge-check, ellipse. Exit status
-is 0 on success, 1 when a problem is infeasible or a verification fails,
-and 2 on malformed input, an output path that cannot be written included.
+is 0 on success, 1 when a problem is infeasible, a verification fails or a
+rollout overflows, and 2 on malformed input, an output path that cannot be
+written included.
 """
 
 from __future__ import annotations
@@ -166,11 +167,16 @@ def _steer_impl(spec_path, policy_path, samples, seed, out_path, epsilon_overrid
             policy = point_to_point_policy(system, spec.initial, spec.terminal)
         count = samples if samples is not None else (spec.samples or 1000)
         rng_seed = seed if seed is not None else (spec.seed or 0)
-        ens = sample_ensemble(system, policy, spec.initial, count, rng_seed)
+        # an unstable rollout may overflow; it is refused below by its first non-finite step
+        with np.errstate(over="ignore", invalid="ignore"):
+            ens = sample_ensemble(system, policy, spec.initial, count, rng_seed)
     except _INPUT_ERRORS as exc:
         _bail(exc, 2)
     except SteeringError as exc:
         _bail(exc, 1)
+    finite = np.isfinite(ens.states).all(axis=(0, 2))
+    if not finite.all():
+        _bail(f"rollout failed: the sampled states are not finite at step {int(np.argmin(finite))}", 1)
     _write(specio.write_trajectory_csv, out_path, ens.states, ens.controls)
     click.echo(f"{count} trajectories ({ens.states.shape[1]} steps) written to {out_path}")
 

@@ -5,6 +5,11 @@ and the feasibility validator that checks the standing assumptions of the
 density-steering solver (invertible dynamics, an invertibility window for
 the reachability Gramian, and nonsingular normalized boundary factors).
 
+A :class:`LinearSystemModel` copies its inputs and computes its float64
+feasibility sweeps and extended-precision normalized coordinates at most
+once, so every entry point called on one model shares one analysis of
+(A_k, B_k); what depends on the boundaries or epsilon is computed per call.
+
 This module owns the sweeps that accumulate transition products and
 Gramians, and :mod:`~maxent_steer.steering` and :mod:`~maxent_steer.pinned`
 read their per-step matrices from them: :func:`_backward_sweep` gives
@@ -19,6 +24,7 @@ stacked product and one running sum, bit for bit what a per-step loop gives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -58,6 +64,10 @@ class LinearSystemModel:
     ``B`` with shape (n, m) or (N, n, m). A single matrix is broadcast over
     the horizon (the usual time-invariant case). Invertibility of A_k is
     not required here; operations that need it check it themselves.
+
+    The model copies ``A`` and ``B`` into read-only arrays of its own. Its
+    feasibility sweeps and normalized coordinates are computed on first use
+    and kept, read-only, for its life; a refusal is not kept.
     """
 
     A: np.ndarray
@@ -89,8 +99,8 @@ class LinearSystemModel:
             b = np.broadcast_to(b, (horizon,) + b.shape)
         if horizon is None:
             horizon = a.shape[0]
-        a = np.ascontiguousarray(a, dtype=np.float64)
-        b = np.ascontiguousarray(b, dtype=np.float64)
+        a = np.array(a, dtype=np.float64, order="C")
+        b = np.array(b, dtype=np.float64, order="C")
         if horizon < 1:
             raise DimensionMismatch("horizon must be at least 1")
         if a.ndim != 3 or a.shape[0] != horizon or a.shape[1] != a.shape[2]:
@@ -120,6 +130,47 @@ class LinearSystemModel:
     def with_input_scaled(self, factor: float) -> "LinearSystemModel":
         """A copy with every B_k multiplied by ``factor`` (entropy-weight normalization)."""
         return LinearSystemModel(self.A, self.B * float(factor), self.horizon)
+
+    @cached_property
+    def _feasibility(self):
+        """A_k verdicts and condition numbers, the counts of finite G_r(k, 0) and
+        G_r(N, k), and the Gramian window k_r (None when there is none)."""
+        a_ok, a_cond = _a_condition(self.A)
+        # forward Gramians G_r(k, 0) and backward G_r(N, k), both for k = 0..N; on long
+        # unstable horizons the first overflow from some k on and the second up to some k
+        with np.errstate(over="ignore", invalid="ignore"):
+            fwd = _forward_gramians(self.A, self.B)
+            bwd = _backward_sweep(self.A, self.B)[1]
+        fwd_ok, bwd_ok = np.split(_psd_invertible(np.concatenate([fwd, bwd])), 2)
+        # the window k_r needs G_r(k, 0) invertible for all k >= k_r and G_r(N, k) for all k < k_r
+        fits = np.logical_and.accumulate(fwd_ok[::-1])[::-1][1:] & np.logical_and.accumulate(bwd_ok)[:-1]
+        window = int(np.argmax(fits)) + 1 if fits.any() else None
+        a_ok.setflags(write=False)
+        a_cond.setflags(write=False)
+        finite = [int(np.isfinite(g).all(axis=(1, 2)).sum()) for g in (fwd, bwd)]
+        return a_ok, a_cond, *finite, window
+
+    @cached_property
+    def _normalized(self):
+        """The extended-precision A and B, Gc^{-1/2} and the stacked ``phic``, ``mk``
+        and ``gcn`` of :class:`_Pipeline`, all read-only."""
+        a, b = _xd(self.A), _xd(self.B)
+        phi0, gc = _pullback_sweep(a, b)
+        w, v = sym_eig(symmetrize(gc[self.horizon]))
+        if np.abs(w).min() <= INVERTIBILITY_RCOND * np.abs(w).max():
+            raise SingularGramian(
+                "controllability Gramian of the full horizon is singular at tolerance"
+            )
+        gcih = symmetrize((v / np.sqrt(w)) @ v.T)
+        phic = gcih @ phi0
+        mk = np.empty_like(phi0)
+        mk[0] = symmetrize((v * np.sqrt(w)) @ v.T)
+        for k in range(self.horizon):
+            mk[k + 1] = a[k] @ mk[k]
+        coords = (a, b, gcih, phic, mk, _gram_sums(phic[1:] @ b))
+        for x in coords:
+            x.setflags(write=False)
+        return coords
 
 
 #: working precision of the boundary-coupled recursions; results are
@@ -298,33 +349,20 @@ class _Pipeline:
     and the partial sums ``gcn`` = sum_{j<k} bn_j bn_j^T (gcn[N] = I up to
     round-off). Given boundary covariances it also holds the normalized
     boundary ``s0``, ``sn``, ``s0h`` = s0^{1/2} and the forward and backward
-    factors ``f_core`` + ``b_core`` = I.
+    factors ``f_core`` + ``b_core`` = I. The coordinates are the model's own
+    read-only copy (``LinearSystemModel._normalized``); only the boundary
+    half is computed here.
     """
 
     def __init__(self, sys: LinearSystemModel, epsilon=1.0, sigma0=None, sigma_terminal=None):
         if epsilon <= 0:
             raise NonpositiveEpsilon(f"epsilon must be positive, got {epsilon}")
         self.sys = sys
-        self.A = _xd(sys.A)
-        self.B = _xd(sys.B)
-        horizon, n = sys.horizon, sys.n
-        eye = np.eye(n, dtype=_X)
-        phi0, gc = _pullback_sweep(self.A, self.B)
-        w, v = sym_eig(symmetrize(gc[horizon]))
-        if np.abs(w).min() <= INVERTIBILITY_RCOND * np.abs(w).max():
-            raise SingularGramian(
-                "controllability Gramian of the full horizon is singular at tolerance"
-            )
-        gcih = symmetrize((v / np.sqrt(w)) @ v.T)
-        self.phic = gcih @ phi0
-        self.mk = np.empty_like(phi0)
-        self.mk[0] = symmetrize((v * np.sqrt(w)) @ v.T)
-        for k in range(horizon):
-            self.mk[k + 1] = self.A[k] @ self.mk[k]
-        self.gcn = _gram_sums(self.phic[1:] @ self.B)
+        self.A, self.B, gcih, self.phic, self.mk, self.gcn = sys._normalized
         if sigma0 is None:
             return
-        pn = self.phic[horizon]
+        eye = np.eye(sys.n, dtype=_X)
+        pn = self.phic[sys.horizon]
         self.s0 = symmetrize(gcih @ _xd(sigma0) @ gcih) / _X(epsilon)
         self.sn = symmetrize(pn @ _xd(sigma_terminal) @ pn.T) / _X(epsilon)
         self.s0h = psd_sqrt_raw(self.s0)
@@ -372,26 +410,14 @@ def _validate(sys: LinearSystemModel, sigma0, sigma_terminal, epsilon: float):
     horizon = sys.horizon
     diagnostics = []
 
-    a_ok, a_cond = _a_condition(sys.A)
+    a_ok, a_cond, fwd_finite, bwd_finite, window = sys._feasibility
     for k in np.flatnonzero(~a_ok):
         diagnostics.append(f"A_{k} is singular at tolerance (cond ~ {a_cond[k]:.2e})")
-
-    # forward Gramians G_r(k, 0) and backward G_r(N, k), both for k = 0..N; on long
-    # unstable horizons the first overflow from some k on and the second up to some k
-    with np.errstate(over="ignore", invalid="ignore"):
-        fwd = _forward_gramians(sys.A, sys.B)
-        bwd = _backward_sweep(sys.A, sys.B)[1]
-    fwd_fin = np.isfinite(fwd).all(axis=(1, 2))
-    bwd_fin = np.isfinite(bwd).all(axis=(1, 2))
-    if not (fwd_fin.all() and bwd_fin.all()):
+    if min(fwd_finite, bwd_finite) <= horizon:
         diagnostics.append(
             "the transition products overflow double precision: G_r(k, 0) is finite only "
-            f"for k < {fwd_fin.sum()} and G_r(N, k) only for k > {horizon - bwd_fin.sum()}"
+            f"for k < {fwd_finite} and G_r(N, k) only for k > {horizon - bwd_finite}"
         )
-    fwd_ok, bwd_ok = np.split(_psd_invertible(np.concatenate([fwd, bwd])), 2)
-    # the window k_r needs G_r(k, 0) invertible for all k >= k_r and G_r(N, k) for all k < k_r
-    fits = np.logical_and.accumulate(fwd_ok[::-1])[::-1][1:] & np.logical_and.accumulate(bwd_ok)[:-1]
-    window = int(np.argmax(fits)) + 1 if fits.any() else None
     if window is None:
         diagnostics.append("no reachability-Gramian invertibility window exists")
 
