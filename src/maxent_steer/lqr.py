@@ -91,11 +91,7 @@ class RiccatiSolution:
     gates: np.ndarray
 
 
-def riccati_backward(
-    sys: LinearSystemModel,
-    terminal_weight,
-    epsilon: float = 1.0,
-) -> RiccatiSolution:
+def riccati_backward(sys: LinearSystemModel, terminal_weight) -> RiccatiSolution:
     """Run the backward Riccati difference recursion from Pi_N = F.
 
     Pi_k = A_k^T Pi_{k+1} A_k
@@ -103,12 +99,9 @@ def riccati_backward(
 
     Each gate is checked for positive definiteness, at the tolerance of
     ``definiteness``, before inversion; :class:`GateNotPD` reports the step
-    where it fails. The terminal weight may be indefinite. ``epsilon`` does
-    not enter the recursion; it is accepted for signature symmetry with
-    :func:`lqr_policy` and validated only.
+    where it fails. The terminal weight may be indefinite. The recursion does
+    not depend on the entropy weight.
     """
-    if epsilon <= 0:
-        raise NonpositiveEpsilon(f"epsilon must be positive, got {epsilon}")
     f = as_sym(terminal_weight)
     if f.n != sys.n:
         raise DimensionMismatch(f"terminal weight is {f.n}x{f.n}, state dim is {sys.n}")
@@ -181,7 +174,7 @@ class MaxEntLqrProblem:
             raise NonpositiveEpsilon(f"epsilon must be positive, got {self.epsilon}")
 
     def solve(self) -> AffineGaussianPolicy:
-        ric = riccati_backward(self.system, self.terminal_weight, self.epsilon)
+        ric = riccati_backward(self.system, self.terminal_weight)
         return lqr_policy(self.system, ric, self.terminal_target, self.epsilon)
 
 

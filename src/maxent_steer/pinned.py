@@ -51,6 +51,7 @@ from .system import (
     _backward_sweep,
     _cov_of,
     _f64,
+    _lyapunov_forward,
     _Pipeline,
     _require_invertible,
     _validate,
@@ -208,15 +209,12 @@ def pinned_moments_controller(sys: LinearSystemModel, x0bar, target) -> PinnedMo
     mean = np.zeros((horizon + 1, n))
     cov = np.zeros((horizon + 1, horizon + 1, n, n))
     ell = _xd(x0bar)
-    diag = np.zeros((n, n), dtype=_X)
     xt_x = _xd(xt)
-    diags_x = [diag]
     mean[0] = _f64(ell)
     for k in range(horizon):
         ell = pieces.Ahat[k] @ ell + pieces.D[k] @ xt_x
-        diag = symmetrize(pieces.Ahat[k] @ diag @ pieces.Ahat[k].T + pieces.Lam[k])
         mean[k + 1] = _f64(ell)
-        diags_x.append(diag)
+    diags_x = _lyapunov_forward(pieces.Ahat, pieces.Lam, 0)
     ahat_t = np.swapaxes(pieces.Ahat, -1, -2)
     for k in range(horizon + 1):
         # row k of the kernel in extended precision, rounded to float64 once
@@ -428,13 +426,13 @@ def bridge_verify(
 
     # path relative entropy vs the endpoint-coupling relative entropy
     path_kl = _X(0.0)
-    sigma_k = sig0_x
     s_opt = symmetrize(bhalf_seq @ np.swapaxes(bhalf_seq, -1, -2))
     w_refs, v_refs = sym_eig(symmetrize(b_seq @ np.swapaxes(b_seq, -1, -2)))
     w_opts = sym_eig(s_opt)[0]
     ranks = np.sum(w_refs > INVERTIBILITY_RCOND * np.fmax(1.0, _f64(w_refs[:, -1:])), axis=1)
+    sigmas = _lyapunov_forward(acl_seq, s_opt, sig0_x)
     for k in range(horizon):
-        # a step with no input adds no KL, but Sigma_k still advances through it
+        # a step with no input adds no KL
         rank = int(ranks[k])
         if rank > 0:
             w_ref, v_ref, w_opt = w_refs[k], v_refs[k], w_opts[k]
@@ -444,11 +442,10 @@ def bridge_verify(
                 np.sum(np.log(w_ref[-rank:]))
                 - np.sum(np.log(w_opt[-rank:]))
                 + np.trace(s_ref_pinv @ s_opt[k])
-                + np.trace(s_ref_pinv @ delta @ sigma_k @ delta.T)
+                + np.trace(s_ref_pinv @ delta @ sigmas[k] @ delta.T)
                 - rank
             ) / 2
             path_kl = path_kl + step
-        sigma_k = symmetrize(acl_seq[k] @ sigma_k @ acl_seq[k].T + s_opt[k])
     coupling_opt = np.zeros((2 * n, 2 * n), dtype=_X)
     coupling_opt[:n, :n] = sig0_x
     coupling_opt[:n, n:] = y_cross.T
@@ -481,13 +478,16 @@ def coupling_objective(sys: LinearSystemModel, sigma0, sigma_terminal, y) -> flo
 
     f(Y) = log det(Sigma_N - Y Sigma_0^{-1} Y^T) + 2 tr(Phi(N,0)^T G_r(N,0)^{-1} Y)
 
-    Raises :class:`NotPD` when Y makes the log-det argument leave the cone
-    (such Y are infeasible as cross-covariances).
+    Raises :class:`SingularGramian` when the full-horizon reachability
+    Gramian is not invertible, and :class:`NotPD` when Y makes the log-det
+    argument leave the cone (such Y are infeasible as cross-covariances).
     """
     sig0 = _xd(_cov_of(sigma0))
     sig_t = _xd(_cov_of(sigma_terminal))
     y = _xd(y)
     phi, gr = _backward_sweep(_xd(sys.A), _xd(sys.B))
+    if rcond_sym(gr[0]) <= INVERTIBILITY_RCOND:
+        raise SingularGramian("reachability Gramian of the full horizon is singular")
     schur = symmetrize(sig_t - y @ solve_linear(sig0, y.T))
     w = sym_eig(schur)[0]
     if w[0] <= 0:

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .linalg import PINV_RCOND, GaussianMarginal, psd_sqrt_raw
 from .lqr import AffineGaussianPolicy
-from .system import LinearSystemModel
+from .system import LinearSystemModel, _lyapunov_forward
 
 __all__ = [
     "TrajectoryEnsemble",
@@ -157,18 +157,12 @@ def propagate_policy_moments(sys: LinearSystemModel, policy, initial):
     else:
         mean0 = np.asarray(initial, dtype=np.float64)
         cov0 = np.zeros((sys.n, sys.n))
-    horizon, n = sys.horizon, sys.n
-    means = np.zeros((horizon + 1, n))
-    covs = np.zeros((horizon + 1, n, n))
+    means = np.zeros((sys.horizon + 1, sys.n))
     means[0] = mean0
-    covs[0] = cov0
-    a_cl = sys.A + sys.B @ policy.gains
-    noise = sys.B @ policy.noise_covs @ np.swapaxes(sys.B, 1, 2)
-    for k in range(horizon):
+    for k in range(sys.horizon):
         means[k + 1] = sys.A[k] @ means[k] + sys.B[k] @ policy.mean_control(k, means[k])
-        cov = a_cl[k] @ covs[k] @ a_cl[k].T + noise[k]
-        covs[k + 1] = (cov + cov.T) / 2
-    return means, covs
+    noise = sys.B @ policy.noise_covs @ np.swapaxes(sys.B, 1, 2)
+    return means, _lyapunov_forward(sys.A + sys.B @ policy.gains, noise, cov0)
 
 
 def dynamics_residual(ens: TrajectoryEnsemble, sys: LinearSystemModel) -> float:

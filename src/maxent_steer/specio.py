@@ -262,14 +262,10 @@ def load_policy(path: str):
     if not isinstance(doc, dict) or doc.get("kind") != "maxent-steer-policy":
         raise ParseError(f"{path}: not a maxent-steer policy file")
     try:
-        policy = AffineGaussianPolicy(
-            np.asarray(doc["gains"], dtype=np.float64),
-            np.asarray(doc["feedforwards"], dtype=np.float64),
-            np.asarray(doc["noise_covs"], dtype=np.float64),
-        )
+        arrays = [_matrix(name, doc[name], allow_stack=True) for name in ("gains", "feedforwards", "noise_covs")]
     except KeyError as exc:
         raise ParseError(f"{path}: missing policy field {exc}") from exc
-    return policy, doc
+    return AffineGaussianPolicy(*arrays), doc
 
 
 # ---------------------------------------------------------------------------

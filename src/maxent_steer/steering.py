@@ -13,13 +13,15 @@ original-coordinate sequences. Horizons with strongly unstable dynamics
 still amplify boundary round-off through the coordinate map, so that
 boundary solve runs in extended precision (``np.longdouble``) and is rounded
 to float64 once at the end. The per-step policy then comes from the float64
-Riccati sweep of :mod:`maxent_steer.lqr` from the terminal weight Q_N^{-1}.
+Riccati sweep of :mod:`maxent_steer.lqr` from the terminal weight Q_N^{-1},
+and the mean feedforwards, in float64, from that sweep's closed loop.
 
 This module builds no transition product or Gramian of its own: they come
 from :mod:`maxent_steer.system`, whose feasibility check builds the
-normalized ``_Pipeline`` once per solve; mean steering reads
-``_backward_sweep``. The P and Q sequences and the mean-steering input are
-stacked expressions over all steps, one kernel call per stack.
+normalized ``_Pipeline`` once per solve; the mean feedforwards read
+``_backward_sweep`` of the closed loop. The P and Q sequences and the
+feedforwards are stacked expressions over all steps, one kernel call per
+stack.
 """
 
 from __future__ import annotations
@@ -40,12 +42,14 @@ from .linalg import (
     GaussianMarginal,
     SymMatrix,
     inv,
+    psd_sqrt_raw,
     rcond_sym,
     solve_linear,
     sym_eig,
     symmetrize,
 )
 from .lqr import AffineGaussianPolicy, lqr_policy, riccati_backward
+from .simulate import propagate_policy_moments
 from .system import (
     INVERTIBILITY_RCOND,
     LinearSystemModel,
@@ -55,7 +59,6 @@ from .system import (
     _Pipeline,
     _validate,
     _X,
-    _xd,
 )
 
 __all__ = [
@@ -100,7 +103,6 @@ class LyapunovPair:
     gates: np.ndarray
     gains: np.ndarray
     noise_base: np.ndarray
-    branch: str = "minus"
 
     @property
     def horizon(self) -> int:
@@ -210,36 +212,43 @@ def optimal_density_policy(
     return AffineGaussianPolicy(lyap.gains, np.zeros((horizon, m)), epsilon * lyap.noise_base)
 
 
+def _mean_feedforward(sys: LinearSystemModel, gains, inv_gates, mu0, mu_t) -> np.ndarray:
+    """Feedforwards c_k that steer the mean of the closed loop A_k + B_k K_k
+    from ``mu0`` to ``mu_t`` with the least input energy.
+
+    With Psi the closed-loop transition and R_k the inverse gates,
+    c_k = -R_k B_k^T Psi(N, k+1)^T lam, where S lam = Psi(N, 0) mu0 - mu_t and
+    S = sum_k Psi(N, k+1) B_k R_k B_k^T Psi(N, k+1)^T. Raises
+    :class:`SingularGramian` when S is singular, that is when the system is
+    not reachable over the horizon.
+    """
+    psi, s = _backward_sweep(sys.A + sys.B @ gains, sys.B @ psd_sqrt_raw(inv_gates))
+    if rcond_sym(s[0]) <= INVERTIBILITY_RCOND:
+        raise SingularGramian("reachability Gramian of the full horizon is singular")
+    lam = np.linalg.solve(s[0], psi[0] @ mu0 - mu_t)
+    v = np.swapaxes(psi[1:], 1, 2) @ lam  # Psi(N, k+1)^T lam
+    return -(inv_gates @ np.swapaxes(sys.B, 1, 2) @ v[:, :, None])[:, :, 0]
+
+
 def mean_steering(sys: LinearSystemModel, mu0, mu_terminal):
     """Minimum-energy deterministic input driving the mean between endpoints.
 
-    Returns ``(ubar, mu)`` where ``ubar`` is the (N, m) optimal open-loop
-    input sequence
-
-        ubar_k = B_k^T Phi(N, k+1)^T G_r(N, 0)^{-1} (mu_N - Phi(N, 0) mu_0)
-
-    and ``mu`` the (N+1, n) mean path it generates. Raises
-    :class:`SingularGramian` when the full-horizon reachability Gramian is
-    not invertible. No dynamics inverses are needed.
+    Returns ``(ubar, mu)`` where ``ubar`` is the (N, m) input sequence of
+    least energy sum_k |ubar_k|^2 / 2 that takes the mean from mu_0 to mu_N,
+    and ``mu`` the (N+1, n) mean path it generates. It is computed in float64
+    on the closed loop of the Riccati sweep from H_N = I, as
+    ubar_k = K_k mu_k + c_k with the feedforwards c_k of that loop. Raises
+    :class:`SingularGramian` when the system is not reachable over the
+    horizon. No dynamics inverses are needed.
     """
     mu0 = np.asarray(mu0, dtype=np.float64)
     mu_t = np.asarray(mu_terminal, dtype=np.float64)
-    horizon, n = sys.horizon, sys.n
-    if mu0.shape != (n,) or mu_t.shape != (n,):
+    if mu0.shape != (sys.n,) or mu_t.shape != (sys.n,):
         raise DimensionMismatch("boundary means have wrong dimension")
-    a = _xd(sys.A)
-    b = _xd(sys.B)
-    phi_n, gr = _backward_sweep(a, b)
-    if rcond_sym(gr[0]) <= INVERTIBILITY_RCOND:
-        raise SingularGramian("reachability Gramian of the full horizon is singular")
-    y = solve_linear(gr[0], _xd(mu_t) - phi_n[0] @ _xd(mu0))
-    ubar = (np.swapaxes(b, 1, 2) @ (np.swapaxes(phi_n[1:], 1, 2) @ y)[:, :, None])[:, :, 0]
-    bu = (b @ ubar[:, :, None])[:, :, 0]
-    mu = np.zeros((horizon + 1, n), dtype=_X)
-    mu[0] = _xd(mu0)
-    for k in range(horizon):
-        mu[k + 1] = a[k] @ mu[k] + bu[k]
-    return _f64(ubar), _f64(mu)
+    loop = lqr_policy(sys, riccati_backward(sys, np.eye(sys.n)))
+    feed = _mean_feedforward(sys, loop.gains, loop.noise_covs, mu0, mu_t)
+    mu = propagate_policy_moments(sys, AffineGaussianPolicy(loop.gains, feed, loop.noise_covs), mu0)[0]
+    return (loop.gains @ mu[:-1, :, None])[:, :, 0] + feed, mu
 
 
 def general_policy(
@@ -251,10 +260,11 @@ def general_policy(
     """Optimal policy for boundary distributions with arbitrary means.
 
     Decomposes into mean steering plus zero-mean covariance steering: the
-    policy mean at state x is K_k (x - mu*_k) + ubar_k, stored as gain plus
-    feedforward about the origin (c_k = ubar_k - K_k mu*_k); the noise
-    covariance is that of the zero-mean problem. The closed-loop mean
-    follows mu* and the closed-loop covariance the zero-mean solution.
+    gains and noise covariances are those of the zero-mean problem, and the
+    feedforwards c_k steer the mean of its closed loop with the least input
+    energy, from the gains and gates the density solve already holds. The
+    closed-loop mean follows the minimum-energy mean path and the
+    closed-loop covariance the zero-mean solution.
     Boundary moments beyond mean and covariance are irrelevant: the same
     policy is optimal for any boundary laws with these first two moments.
     """
@@ -267,8 +277,7 @@ def _general_policy_and_pair(sys, initial, terminal, epsilon):
     base = optimal_density_policy(sys, lyap, epsilon)
     if not (np.any(initial.mean) or np.any(terminal.mean)):
         return base, lyap
-    ubar, mu = mean_steering(sys, initial.mean, terminal.mean)
-    feed = ubar - np.einsum("kmn,kn->km", base.gains, mu[:-1])
+    feed = _mean_feedforward(sys, lyap.gains, lyap.noise_base, initial.mean, terminal.mean)
     return AffineGaussianPolicy(base.gains, feed, base.noise_covs), lyap
 
 

@@ -11,12 +11,15 @@ once, so every entry point called on one model shares one analysis of
 (A_k, B_k); what depends on the boundaries or epsilon is computed per call.
 
 This module owns the sweeps that accumulate transition products and
-Gramians, and :mod:`~maxent_steer.steering` and :mod:`~maxent_steer.pinned`
-read their per-step matrices from them: :func:`_backward_sweep` gives
-Phi(N, k) and G_r(N, k) in the dtype of its inputs, :func:`_forward_gramians`
-G_r(k, 0), and :class:`_Pipeline` the extended-precision normalized
+Gramians, and :mod:`~maxent_steer.steering`, :mod:`~maxent_steer.pinned`
+and :mod:`~maxent_steer.simulate` read their per-step matrices from them:
+:func:`_backward_sweep` gives Phi(N, k) and G_r(N, k) in the dtype of its
+inputs (the mean feedforwards run it on a closed loop),
+:func:`_lyapunov_forward` the forward covariance recursion
+X <- F_k X F_k^T + Q_k that gives G_r(k, 0), closed-loop and pinned
+covariances, and :class:`_Pipeline` the extended-precision normalized
 coordinates of the density solver. Only true recurrences (transition
-products, forward Gramians) loop over steps: Gramian increments are one
+products, forward covariances) loop over steps: Gramian increments are one
 stacked product and one running sum, bit for bit what a per-step loop gives.
 :func:`_a_condition` alone decides whether an A_k counts as invertible.
 """
@@ -235,13 +238,21 @@ def _check_window(sys: LinearSystemModel, k1: int, k0: int):
         raise BadWindow(f"Gramian window needs k0 < k1, got k0={k0}, k1={k1}")
 
 
+def _lyapunov_forward(f, q, x0) -> np.ndarray:
+    """X_0 = x0 and X_{k+1} = sym(F_k X_k F_k^T + Q_k) for k = 0..N-1, stacked (N+1, n, n).
+
+    Dtype-generic: the stack takes the dtype of ``f``.
+    """
+    x = np.empty((f.shape[0] + 1,) + f.shape[1:], dtype=f.dtype)
+    x[0] = x0
+    for k in range(f.shape[0]):
+        x[k + 1] = symmetrize(f[k] @ x[k] @ f[k].T + q[k])
+    return x
+
+
 def _forward_gramians(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """G_r(k, 0) for k = 0..N by the recursion G <- A_k G A_k^T + B_k B_k^T."""
-    g = np.zeros((a.shape[0] + 1,) + a.shape[1:], dtype=a.dtype)
-    bbt = b @ np.swapaxes(b, -1, -2)
-    for k in range(a.shape[0]):
-        g[k + 1] = symmetrize(a[k] @ g[k] @ a[k].T + bbt[k])
-    return g
+    return _lyapunov_forward(a, b @ np.swapaxes(b, -1, -2), 0)
 
 
 def _gram_sums(w):

@@ -164,6 +164,24 @@ class TestSteerAndPin:
         # zero policy leaves the free drift: u columns are all zero
         assert all(row.split(",")[4] in ("0", "") for row in rows)
 
+    @pytest.mark.parametrize("gains", ["abc", [[[0.0, 0.0]], [[0.0]]]], ids=["non-numeric", "ragged"])
+    def test_malformed_policy_file_exit_two(self, runner, tmp_path, gains):
+        spec_path = write_spec(tmp_path, dict(PINNED_SPEC, horizon=2, samples=1))
+        pol_path = tmp_path / "bad.json"
+        pol_path.write_text(json.dumps({
+            "kind": "maxent-steer-policy",
+            "gains": gains,
+            "feedforwards": [[0.0], [0.0]],
+            "noise_covs": [[[0.0]], [[0.0]]],
+        }))
+        result = runner.invoke(
+            main, ["steer", "--spec", spec_path, "--policy", str(pol_path), "--out", str(tmp_path / "p.csv")]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: field 'gains': ")
+        assert "Traceback" not in result.output
+
     def test_csv_values_round_trip_17_digits(self, runner, tmp_path):
         spec_path = write_spec(tmp_path, dict(DENSITY_SPEC, samples=2))
         out = tmp_path / "paths.csv"

@@ -66,10 +66,6 @@ class TestRiccatiBackward:
             riccati_backward(sys, np.array([[-2.0]]))
         assert info.value.step == 1
 
-    def test_epsilon_must_be_positive(self):
-        with pytest.raises(NonpositiveEpsilon):
-            riccati_backward(scalar_system(), np.eye(1), epsilon=0.0)
-
 
 class TestLqrPolicy:
     def test_zero_weight_pure_exploration(self):

@@ -291,3 +291,8 @@ class TestBridgeVerify:
                 continue
             accepted += 1
             assert f_pert <= f_opt + 1e-12
+
+    def test_coupling_objective_refuses_unreachable_system(self):
+        sys = LinearSystemModel([[0.9, 0.1], [0.05, 1.2]], np.zeros((2, 1)), 10)
+        with pytest.raises(SingularGramian, match="reachability Gramian of the full horizon is singular"):
+            coupling_objective(sys, DEMO_SIGMA0, DEMO_SIGMA_T, np.zeros((2, 2)))

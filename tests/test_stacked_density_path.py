@@ -14,7 +14,6 @@ from maxent_steer import (
     SymMatrix,
     general_policy,
     lqr_policy,
-    mean_steering,
     propagate_policy_moments,
     riccati_backward,
     solve_coupled_lyapunov,
@@ -143,20 +142,6 @@ def loop_minus_pair(pipe):
     return as64(p_seq), as64(q_seq), gates, gains, noise
 
 
-def loop_mean_steering(sys, mu0, mu_terminal):
-    a, b = sys.A.astype(X), sys.B.astype(X)
-    horizon, n, m = sys.horizon, sys.n, sys.m
-    phi_n, gr = loop_backward_sweep(a, b)
-    y = solve_linear(gr[0], np.asarray(mu_terminal, dtype=X) - phi_n[0] @ np.asarray(mu0, dtype=X))
-    ubar = np.zeros((horizon, m), dtype=X)
-    mu = np.zeros((horizon + 1, n), dtype=X)
-    mu[0] = np.asarray(mu0, dtype=X)
-    for k in range(horizon):
-        ubar[k] = b[k].T @ (phi_n[k + 1].T @ y)
-        mu[k + 1] = a[k] @ mu[k] + b[k] @ ubar[k]
-    return np.asarray(ubar, dtype=np.float64), np.asarray(mu, dtype=np.float64)
-
-
 def loop_policy_moments(sys, policy, initial):
     if isinstance(initial, GaussianMarginal):
         mean0, cov0 = initial.mean, initial.cov.data
@@ -275,7 +260,7 @@ def test_minus_pair(plant):
 def test_riccati_and_lqr_policy(plant):
     sys, sig0, sig_t, eps, _, mu_t, _ = plant
     weight = np.linalg.inv(solve_coupled_lyapunov(sys, sig0, sig_t, eps).Q[-1])
-    ric = riccati_backward(sys, weight, eps)
+    ric = riccati_backward(sys, weight)
     pi, gates = loop_riccati(sys, weight)
     assert same_bits(ric.Pi, pi)
     assert same_bits(ric.gates, gates)
@@ -284,12 +269,6 @@ def test_riccati_and_lqr_policy(plant):
         (policy.gains, policy.feedforwards, policy.noise_covs),
         loop_lqr_policy(sys, pi, gates, mu_t, eps),
     ):
-        assert same_bits(got, want)
-
-
-def test_mean_steering(plant):
-    sys, *_, mu0, mu_t, _ = plant
-    for got, want in zip(mean_steering(sys, mu0, mu_t), loop_mean_steering(sys, mu0, mu_t)):
         assert same_bits(got, want)
 
 
