@@ -87,7 +87,7 @@ def cmd_validate(spec_path, epsilon_override):
     """Check the solvability assumptions and report diagnostics."""
     spec = _load_spec(spec_path)
     epsilon = epsilon_override if epsilon_override is not None else spec.epsilon
-    if epsilon <= 0:
+    if not epsilon > 0:
         _bail(NonpositiveEpsilon(f"epsilon must be positive, got {epsilon}"), 2)
     system = spec.system()
     if spec.mode == "density":

@@ -349,10 +349,10 @@ def psd_sqrt_raw(m: np.ndarray, snap_tol: float = 0.0) -> np.ndarray:
     return _sym_from_eig(np.sqrt(w), v)
 
 
-def pinv_sym(m: np.ndarray, rcond: float = PINV_RCOND) -> np.ndarray:
+def pinv_sym(m: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverses of symmetric matrices (..., n, n) via their eigendecompositions."""
     w, v = sym_eig(np.asarray(m))
-    cutoff = _cutoff(rcond, np.abs(w).max(axis=-1, keepdims=True, initial=0.0))
+    cutoff = _cutoff(PINV_RCOND, np.abs(w).max(axis=-1, keepdims=True, initial=0.0))
     winv = np.where(np.abs(w) > cutoff, 1.0 / np.where(w == 0, 1, w), 0)
     return _sym_from_eig(winv, v)
 

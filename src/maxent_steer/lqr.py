@@ -4,7 +4,9 @@ Backward Riccati sweep for the quadratic terminal cost, the resulting
 stochastic affine-Gaussian policy, and the entropy-weight normalization
 that reduces any problem to unit weight. Only the Riccati recursion and its
 gate check run per step; the policy is one stacked solve and one stacked
-inverse over all steps.
+inverse over all steps. Every feedforward, of a terminal target here and of
+the steered mean in :mod:`~maxent_steer.steering`, is a closed-loop costate
+term (:func:`_costate_feedforward`); no A_k is inverted.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, GateNotPD, NonpositiveEpsilon
+from .errors import DimensionMismatch, GateNotPD
 from .linalg import DEFINITENESS_RTOL, SymMatrix, as_sym, symmetrize
-from .system import LinearSystemModel, _require_invertible
+from .system import LinearSystemModel, _backward_sweep, _require_positive
 
 __all__ = [
     "AffineGaussianPolicy",
@@ -132,27 +134,33 @@ def lqr_policy(
     """Optimal stochastic policy for the quadratic-terminal-cost problem.
 
     K_k = -(I + B_k^T Pi_{k+1} B_k)^{-1} B_k^T Pi_{k+1} A_k
-    c_k = -K_k Phi(k, N) xbar_N
-    R_k = eps (I + B_k^T Pi_{k+1} B_k)^{-1}
+    c_k = R_k B_k^T Psi(N, k+1)^T Pi_N xbar_N
+    eps R_k, with R_k = (I + B_k^T Pi_{k+1} B_k)^{-1}, the noise covariance
 
-    A nonzero target needs Phi(k, N) and therefore invertible dynamics;
-    with a zero (or omitted) target no inverses are taken.
+    Psi is the transition of the closed loop A_k + B_k K_k, so no A_k is
+    inverted and singular dynamics are allowed; with a zero (or omitted)
+    target, or one that Pi_N annihilates, every c_k is zero.
     """
-    if epsilon <= 0:
-        raise NonpositiveEpsilon(f"epsilon must be positive, got {epsilon}")
+    _require_positive(epsilon)
     horizon, n, m = sys.horizon, sys.n, sys.m
     if ric.Pi.shape != (horizon + 1, n, n):
         raise DimensionMismatch("Riccati solution does not match the system")
     gains = -np.linalg.solve(ric.gates, np.swapaxes(sys.B, 1, 2) @ ric.Pi[1:] @ sys.A)
-    covs = epsilon * symmetrize(np.linalg.inv(ric.gates))
+    inv_gates = symmetrize(np.linalg.inv(ric.gates))
+    target = np.zeros(n) if terminal_target is None else np.asarray(terminal_target, dtype=np.float64)
+    lam = -ric.Pi[-1] @ target  # the terminal costate
     feed = np.zeros((horizon, m))
-    if terminal_target is not None and np.any(terminal_target):
-        _require_invertible(sys.A)
-        z = np.asarray(terminal_target, dtype=np.float64)  # z_k = Phi(k, N) xbar_N
-        for k in range(horizon - 1, -1, -1):
-            z = np.linalg.solve(sys.A[k], z)
-            feed[k] = -gains[k] @ z
-    return AffineGaussianPolicy(gains, feed, covs)
+    if np.any(lam):
+        feed = _costate_feedforward(sys, inv_gates, _backward_sweep(sys.A + sys.B @ gains, sys.B)[0], lam)
+    return AffineGaussianPolicy(gains, feed, epsilon * inv_gates)
+
+
+def _costate_feedforward(sys: LinearSystemModel, inv_gates, psi, lam) -> np.ndarray:
+    """Feedforwards c_k = -R_k B_k^T Psi(N, k+1)^T lam, stacked (N, m), from the closed-loop
+    transitions ``psi`` = Psi(N, k), k = 0..N, the unit-weight inverse gates R_k and the
+    terminal costate ``lam``."""
+    v = np.swapaxes(psi[1:], 1, 2) @ lam  # Psi(N, k+1)^T lam
+    return -(inv_gates @ np.swapaxes(sys.B, 1, 2) @ v[:, :, None])[:, :, 0]
 
 
 @dataclass(frozen=True)
@@ -170,8 +178,7 @@ class MaxEntLqrProblem:
             self.terminal_target, dtype=np.float64
         )
         object.__setattr__(self, "terminal_target", target)
-        if self.epsilon <= 0:
-            raise NonpositiveEpsilon(f"epsilon must be positive, got {self.epsilon}")
+        _require_positive(self.epsilon)
 
     def solve(self) -> AffineGaussianPolicy:
         ric = riccati_backward(self.system, self.terminal_weight)
@@ -187,8 +194,7 @@ def epsilon_normalize(problem: MaxEntLqrProblem) -> MaxEntLqrProblem:
     state law. Identity when eps is already 1.
     """
     eps = problem.epsilon
-    if eps <= 0:
-        raise NonpositiveEpsilon(f"epsilon must be positive, got {eps}")
+    _require_positive(eps)
     if eps == 1.0:
         return problem
     return MaxEntLqrProblem(
@@ -201,8 +207,7 @@ def epsilon_normalize(problem: MaxEntLqrProblem) -> MaxEntLqrProblem:
 
 def denormalize_policy(policy: AffineGaussianPolicy, epsilon: float) -> AffineGaussianPolicy:
     """Map a unit-weight policy back to the original control scale, u = sqrt(eps) u'."""
-    if epsilon <= 0:
-        raise NonpositiveEpsilon(f"epsilon must be positive, got {epsilon}")
+    _require_positive(epsilon)
     root = np.sqrt(epsilon)
     return AffineGaussianPolicy(
         root * policy.gains, root * policy.feedforwards, epsilon * policy.noise_covs
@@ -217,8 +222,7 @@ def soft_value_offsets(sys: LinearSystemModel, ric: RiccatiSolution, epsilon: fl
     the terminal step via the per-step log-normalizer of the Gaussian
     policy integral.
     """
-    if epsilon <= 0:
-        raise NonpositiveEpsilon(f"epsilon must be positive, got {epsilon}")
+    _require_positive(epsilon)
     m = sys.m
     offsets = np.zeros(sys.horizon + 1)
     for k in range(sys.horizon - 1, -1, -1):

@@ -32,13 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPD, SingularGramian
+from .errors import DimensionMismatch, NotPD
 from .linalg import (
     _condition_gain,
     _sym_from_eig,
     pinv_sym,
     psd_sqrt_raw,
-    rcond_sym,
     solve_linear,
     sym_eig,
     symmetrize,
@@ -50,10 +49,12 @@ from .system import (
     LinearSystemModel,
     _backward_sweep,
     _cov_of,
+    _endpoints,
     _f64,
     _lyapunov_forward,
     _Pipeline,
     _require_invertible,
+    _require_reachable,
     _validate,
     _X,
     _xd,
@@ -137,8 +138,7 @@ class _PinnedPieces:
         b_seq = np.asarray(b_seq, dtype=a_seq.dtype)
         b_t = np.swapaxes(b_seq, -1, -2)
         phi_n, gr = _backward_sweep(a_seq, b_seq)
-        if rcond_sym(gr[0]) <= INVERTIBILITY_RCOND:
-            raise SingularGramian("reachability Gramian of the full horizon is singular")
+        _require_reachable(gr[0])
         self.phi_n = phi_n
         self.gr = gr
         phi_1 = phi_n[1:]
@@ -161,10 +161,7 @@ def pinned_controller(sys: LinearSystemModel, x0bar, target) -> PinnedController
     state recorded for simulation; the controller matrices themselves do
     not depend on it.
     """
-    x0bar = np.asarray(x0bar, dtype=np.float64)
-    xt = np.asarray(target, dtype=np.float64)
-    if x0bar.shape != (sys.n,) or xt.shape != (sys.n,):
-        raise DimensionMismatch("boundary points have wrong dimension")
+    x0bar, xt = _endpoints(sys, x0bar, target, "points")
     _require_invertible(sys.A)
     pieces = _PinnedPieces(_xd(sys.A), _xd(sys.B))
     bt_phi_gd = np.swapaxes(_xd(sys.B), -1, -2) @ np.swapaxes(pieces.phi_n[1:], -1, -2) @ pieces.Gd
@@ -199,10 +196,7 @@ def pinned_moments_controller(sys: LinearSystemModel, x0bar, target) -> PinnedMo
     cov(k, s) = cov(k, k) PhiHat(s, k)^T for k <= s, with PhiHat the
     transition of the pinned closed loop.
     """
-    x0bar = np.asarray(x0bar, dtype=np.float64)
-    xt = np.asarray(target, dtype=np.float64)
-    if x0bar.shape != (sys.n,) or xt.shape != (sys.n,):
-        raise DimensionMismatch("boundary points have wrong dimension")
+    x0bar, xt = _endpoints(sys, x0bar, target, "points")
     _require_invertible(sys.A)
     pieces = _PinnedPieces(_xd(sys.A), _xd(sys.B))
     horizon, n = sys.horizon, sys.n
@@ -243,10 +237,7 @@ def conditional_gaussian_oracle(sys: LinearSystemModel, x0bar, target) -> Pinned
     back afterwards. This shares no propagation code with
     :func:`pinned_moments_controller`.
     """
-    x0bar = np.asarray(x0bar, dtype=np.float64)
-    xt = np.asarray(target, dtype=np.float64)
-    if x0bar.shape != (sys.n,) or xt.shape != (sys.n,):
-        raise DimensionMismatch("boundary points have wrong dimension")
+    x0bar, xt = _endpoints(sys, x0bar, target, "points")
     pipe = _Pipeline(sys)
     horizon, n = sys.horizon, sys.n
     gcn = pipe.gcn[:horizon]
@@ -350,9 +341,9 @@ class BridgeReport:
 
 
 def _rel(diff: np.ndarray, ref: np.ndarray) -> float:
-    num = float(np.linalg.norm(_f64(diff)))
-    den = 1.0 + float(np.linalg.norm(_f64(ref)))
-    return num / den
+    """Largest |diff_k| / (1 + |ref_k|) over the stacked matrices, Frobenius norms in float64."""
+    num = np.linalg.norm(_f64(diff), axis=(-2, -1))
+    return float(np.max(num / (1.0 + np.linalg.norm(_f64(ref), axis=(-2, -1)))))
 
 
 def bridge_verify(
@@ -410,19 +401,14 @@ def bridge_verify(
     r1 = symmetrize(mk @ (gcn[horizon] - gcn) @ np.swapaxes(mk, -1, -2))
     phi_q = opt_pieces.phi_n
     r2 = symmetrize(solve_linear(phi_q, np.swapaxes(solve_linear(phi_q, opt_pieces.gr), -1, -2)))
-    jk = _f64(r1 + r1 @ solve_linear(_xd(lyap.Q), r2) - r2)
-    r1, r2 = _f64(r1), _f64(r2)
-    res_gramian = 0.0
-    for k in range(horizon + 1):
-        scale = max(float(np.linalg.norm(r1[k])), float(np.linalg.norm(r2[k])))
-        res_gramian = max(res_gramian, float(np.linalg.norm(jk[k])) / (1.0 + scale))
+    jk = r1 + r1 @ solve_linear(_xd(lyap.Q), r2) - r2
+    scale = np.maximum(*np.linalg.norm(_f64(np.stack([r1, r2])), axis=(-2, -1)))
+    res_gramian = float(np.max(np.linalg.norm(_f64(jk), axis=(-2, -1)) / (1.0 + scale)))
 
     # pinned-dynamics equality of the reference and optimal processes
-    res_feed = res_cl = res_noise = 0.0
-    for k in range(horizon):
-        res_feed = max(res_feed, _rel(ref_pieces.D[k] - opt_pieces.D[k], ref_pieces.D[k]))
-        res_cl = max(res_cl, _rel(ref_pieces.Ahat[k] - opt_pieces.Ahat[k], ref_pieces.Ahat[k]))
-        res_noise = max(res_noise, _rel(ref_pieces.Lam[k] - opt_pieces.Lam[k], ref_pieces.Lam[k]))
+    res_feed = _rel(ref_pieces.D - opt_pieces.D, ref_pieces.D)
+    res_cl = _rel(ref_pieces.Ahat - opt_pieces.Ahat, ref_pieces.Ahat)
+    res_noise = _rel(ref_pieces.Lam - opt_pieces.Lam, ref_pieces.Lam)
 
     # path relative entropy vs the endpoint-coupling relative entropy
     path_kl = _X(0.0)
@@ -446,16 +432,9 @@ def bridge_verify(
                 - rank
             ) / 2
             path_kl = path_kl + step
-    coupling_opt = np.zeros((2 * n, 2 * n), dtype=_X)
-    coupling_opt[:n, :n] = sig0_x
-    coupling_opt[:n, n:] = y_cross.T
-    coupling_opt[n:, :n] = y_cross
-    coupling_opt[n:, n:] = sig_t_x
-    coupling_ref = np.zeros((2 * n, 2 * n), dtype=_X)
-    coupling_ref[:n, :n] = sig0_x
-    coupling_ref[:n, n:] = (phi0 @ sig0_x).T
-    coupling_ref[n:, :n] = phi0 @ sig0_x
-    coupling_ref[n:, n:] = symmetrize(phi0 @ sig0_x @ phi0.T + gr0)
+    coupling_opt = np.block([[sig0_x, y_cross.T], [y_cross, sig_t_x]])
+    y_ref = phi0 @ sig0_x  # the reference's cross-covariance
+    coupling_ref = np.block([[sig0_x, y_ref.T], [y_ref, symmetrize(y_ref @ phi0.T + gr0)]])
     coupling_kl = _kl_x(coupling_opt, coupling_ref)
     res_kl = abs(float(path_kl - coupling_kl)) / (1.0 + abs(float(coupling_kl)))
 
@@ -486,8 +465,7 @@ def coupling_objective(sys: LinearSystemModel, sigma0, sigma_terminal, y) -> flo
     sig_t = _xd(_cov_of(sigma_terminal))
     y = _xd(y)
     phi, gr = _backward_sweep(_xd(sys.A), _xd(sys.B))
-    if rcond_sym(gr[0]) <= INVERTIBILITY_RCOND:
-        raise SingularGramian("reachability Gramian of the full horizon is singular")
+    _require_reachable(gr[0])
     schur = symmetrize(sig_t - y @ solve_linear(sig0, y.T))
     w = sym_eig(schur)[0]
     if w[0] <= 0:

@@ -79,21 +79,25 @@ def _fail(field: str, message: str):
     raise ParseError(f"field '{field}': {message}")
 
 
-def _matrix(field: str, value, allow_stack: bool) -> np.ndarray:
+def _numbers(field: str, value, what: str) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
-        _fail(field, "not a numeric array")
+        _fail(field, f"not a numeric {what}")
+    if not np.isfinite(arr).all():
+        _fail(field, "contains a non-finite number (NaN or Infinity)")
+    return arr
+
+
+def _matrix(field: str, value, allow_stack: bool) -> np.ndarray:
+    arr = _numbers(field, value, "array")
     if arr.ndim == 2 or (allow_stack and arr.ndim == 3):
         return arr
     _fail(field, f"expected a matrix{' or list of matrices' if allow_stack else ''}, got shape {arr.shape}")
 
 
 def _vector(field: str, value) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        _fail(field, "not a numeric vector")
+    arr = _numbers(field, value, "vector")
     if arr.ndim != 1:
         _fail(field, f"expected a vector, got shape {arr.shape}")
     return arr
@@ -134,7 +138,7 @@ def parse_spec(payload: dict, origin: str = "<spec>") -> ProblemSpec:
     if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
         _fail("horizon", "must be a positive integer")
     epsilon = payload["epsilon"]
-    if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool) or epsilon <= 0:
+    if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool) or not 0 < epsilon < math.inf:
         _fail("epsilon", "must be a positive number")
     a = _matrix("A", payload["A"], allow_stack=True)
     b = _matrix("B", payload["B"], allow_stack=True)

@@ -30,14 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BranchDegenerate,
-    DimensionMismatch,
-    GateNotPD,
-    InfeasibleProblem,
-    NonpositiveEpsilon,
-    SingularGramian,
-)
+from .errors import BranchDegenerate, DimensionMismatch, GateNotPD, InfeasibleProblem
 from .linalg import (
     GaussianMarginal,
     SymMatrix,
@@ -48,15 +41,18 @@ from .linalg import (
     sym_eig,
     symmetrize,
 )
-from .lqr import AffineGaussianPolicy, lqr_policy, riccati_backward
+from .lqr import AffineGaussianPolicy, _costate_feedforward, lqr_policy, riccati_backward
 from .simulate import propagate_policy_moments
 from .system import (
     INVERTIBILITY_RCOND,
     LinearSystemModel,
     _backward_sweep,
     _cov_of,
+    _endpoints,
     _f64,
     _Pipeline,
+    _require_positive,
+    _require_reachable,
     _validate,
     _X,
 )
@@ -139,8 +135,7 @@ def _minus_pair(pipe: _Pipeline) -> LyapunovPair:
 
 def _boundary_covs(sigma0, sigma_terminal, epsilon):
     """The boundary covariances and the name of one that is not PD (None if both are)."""
-    if epsilon <= 0:
-        raise NonpositiveEpsilon(f"epsilon must be positive, got {epsilon}")
+    _require_positive(epsilon)
     sig0, sig_t = _cov_of(sigma0), _cov_of(sigma_terminal)
     for name, cov in (("initial", sig0), ("terminal", sig_t)):
         w = np.linalg.eigvalsh(cov)
@@ -204,8 +199,7 @@ def optimal_density_policy(
     read from the gains and noise covariances of the Riccati sweep that
     :func:`solve_coupled_lyapunov` ran from Q_N^{-1}.
     """
-    if epsilon <= 0:
-        raise NonpositiveEpsilon(f"epsilon must be positive, got {epsilon}")
+    _require_positive(epsilon)
     horizon, n, m = sys.horizon, sys.n, sys.m
     if lyap.P.shape != (horizon + 1, n, n):
         raise DimensionMismatch("Lyapunov pair does not match the system")
@@ -216,18 +210,17 @@ def _mean_feedforward(sys: LinearSystemModel, gains, inv_gates, mu0, mu_t) -> np
     """Feedforwards c_k that steer the mean of the closed loop A_k + B_k K_k
     from ``mu0`` to ``mu_t`` with the least input energy.
 
-    With Psi the closed-loop transition and R_k the inverse gates,
-    c_k = -R_k B_k^T Psi(N, k+1)^T lam, where S lam = Psi(N, 0) mu0 - mu_t and
+    With Psi the closed-loop transition and R_k the inverse gates, the costate
+    feedforwards c_k = -R_k B_k^T Psi(N, k+1)^T lam of :mod:`~maxent_steer.lqr`,
+    where S lam = Psi(N, 0) mu0 - mu_t and
     S = sum_k Psi(N, k+1) B_k R_k B_k^T Psi(N, k+1)^T. Raises
     :class:`SingularGramian` when S is singular, that is when the system is
     not reachable over the horizon.
     """
     psi, s = _backward_sweep(sys.A + sys.B @ gains, sys.B @ psd_sqrt_raw(inv_gates))
-    if rcond_sym(s[0]) <= INVERTIBILITY_RCOND:
-        raise SingularGramian("reachability Gramian of the full horizon is singular")
+    _require_reachable(s[0])
     lam = np.linalg.solve(s[0], psi[0] @ mu0 - mu_t)
-    v = np.swapaxes(psi[1:], 1, 2) @ lam  # Psi(N, k+1)^T lam
-    return -(inv_gates @ np.swapaxes(sys.B, 1, 2) @ v[:, :, None])[:, :, 0]
+    return _costate_feedforward(sys, inv_gates, psi, lam)
 
 
 def mean_steering(sys: LinearSystemModel, mu0, mu_terminal):
@@ -241,10 +234,7 @@ def mean_steering(sys: LinearSystemModel, mu0, mu_terminal):
     :class:`SingularGramian` when the system is not reachable over the
     horizon. No dynamics inverses are needed.
     """
-    mu0 = np.asarray(mu0, dtype=np.float64)
-    mu_t = np.asarray(mu_terminal, dtype=np.float64)
-    if mu0.shape != (sys.n,) or mu_t.shape != (sys.n,):
-        raise DimensionMismatch("boundary means have wrong dimension")
+    mu0, mu_t = _endpoints(sys, mu0, mu_terminal, "means")
     loop = lqr_policy(sys, riccati_backward(sys, np.eye(sys.n)))
     feed = _mean_feedforward(sys, loop.gains, loop.noise_covs, mu0, mu_t)
     mu = propagate_policy_moments(sys, AffineGaussianPolicy(loop.gains, feed, loop.noise_covs), mu0)[0]

@@ -11,17 +11,19 @@ once, so every entry point called on one model shares one analysis of
 (A_k, B_k); what depends on the boundaries or epsilon is computed per call.
 
 This module owns the sweeps that accumulate transition products and
-Gramians, and :mod:`~maxent_steer.steering`, :mod:`~maxent_steer.pinned`
-and :mod:`~maxent_steer.simulate` read their per-step matrices from them:
+Gramians, and :mod:`~maxent_steer.lqr`, :mod:`~maxent_steer.steering`,
+:mod:`~maxent_steer.pinned` and :mod:`~maxent_steer.simulate` read their
+per-step matrices from them:
 :func:`_backward_sweep` gives Phi(N, k) and G_r(N, k) in the dtype of its
-inputs (the mean feedforwards run it on a closed loop),
+inputs (the feedforwards run it on a closed loop),
 :func:`_lyapunov_forward` the forward covariance recursion
 X <- F_k X F_k^T + Q_k that gives G_r(k, 0), closed-loop and pinned
 covariances, and :class:`_Pipeline` the extended-precision normalized
 coordinates of the density solver. Only true recurrences (transition
 products, forward covariances) loop over steps: Gramian increments are one
 stacked product and one running sum, bit for bit what a per-step loop gives.
-:func:`_a_condition` alone decides whether an A_k counts as invertible.
+:func:`_a_condition` alone decides whether an A_k counts as invertible, and
+:func:`_require_reachable` whether the full horizon is reachable.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .linalg import (
     SymMatrix,
     as_sym,
     psd_sqrt_raw,
+    rcond_sym,
     solve_linear,
     sym_eig,
     symmetrize,
@@ -215,6 +218,26 @@ def _require_invertible(a: np.ndarray, first_step: int = 0):
         raise SingularA(first_step + int(np.argmin(ok)))
 
 
+def _require_positive(epsilon):
+    """Raise :class:`NonpositiveEpsilon` unless the entropy weight is positive (NaN is not)."""
+    if not epsilon > 0:
+        raise NonpositiveEpsilon(f"epsilon must be positive, got {epsilon}")
+
+
+def _require_reachable(gramian):
+    """Raise :class:`SingularGramian` unless the full-horizon reachability Gramian is invertible."""
+    if rcond_sym(gramian) <= INVERTIBILITY_RCOND:
+        raise SingularGramian("reachability Gramian of the full horizon is singular")
+
+
+def _endpoints(sys: LinearSystemModel, first, second, what: str):
+    """Both boundary vectors in float64; :class:`DimensionMismatch` unless each has length n."""
+    first, second = np.asarray(first, dtype=np.float64), np.asarray(second, dtype=np.float64)
+    if first.shape != (sys.n,) or second.shape != (sys.n,):
+        raise DimensionMismatch(f"boundary {what} have wrong dimension")
+    return first, second
+
+
 def transition(sys: LinearSystemModel, k: int, l: int) -> np.ndarray:
     """State-transition matrix Phi(k, l).
 
@@ -366,8 +389,7 @@ class _Pipeline:
     """
 
     def __init__(self, sys: LinearSystemModel, epsilon=1.0, sigma0=None, sigma_terminal=None):
-        if epsilon <= 0:
-            raise NonpositiveEpsilon(f"epsilon must be positive, got {epsilon}")
+        _require_positive(epsilon)
         self.sys = sys
         self.A, self.B, gcih, self.phic, self.mk, self.gcn = sys._normalized
         if sigma0 is None:
@@ -437,7 +459,7 @@ def _validate(sys: LinearSystemModel, sigma0, sigma_terminal, epsilon: float):
     pipe = None
     boundary_ok = True
     has_boundary = sigma0 is not None and sigma_terminal is not None
-    if has_boundary and epsilon <= 0:
+    if has_boundary and not epsilon > 0:
         boundary_ok = False
         diagnostics.append(f"epsilon must be positive, got {epsilon}")
     elif has_boundary and a_ok.all() and window is not None:

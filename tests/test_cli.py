@@ -76,6 +76,26 @@ class TestValidate:
         result = runner.invoke(main, ["validate", "--spec", path])
         assert result.exit_code == 0
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("A", [[float("nan"), 0.1], [0.05, 1.2]]),
+            ("B", [[0.0], [float("inf")]]),
+            ("initial", {"mean": [float("nan"), 0.0], "cov": [[7.0, 3.0], [3.0, 5.0]]}),
+            ("terminal", {"cov": [[float("-inf"), 0.0], [0.0, 0.3]]}),
+            ("epsilon", float("nan")),
+            ("epsilon", float("inf")),
+        ],
+        ids=["A-NaN", "B-Infinity", "mean-NaN", "cov-minus-Infinity", "epsilon-NaN", "epsilon-Infinity"],
+    )
+    def test_non_finite_number_exit_two(self, runner, tmp_path, field, value):
+        path = write_spec(tmp_path, dict(DENSITY_SPEC, **{field: value}))
+        result = runner.invoke(main, ["validate", "--spec", path])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith(f"error: field '{field}")
+        assert "Traceback" not in result.output
+
 
 class TestSolve:
     def test_writes_policy_with_terminal_weight_diagnostics(self, runner, tmp_path):
@@ -181,6 +201,24 @@ class TestSteerAndPin:
         assert isinstance(result.exception, SystemExit)
         assert result.stderr.startswith("error: field 'gains': ")
         assert "Traceback" not in result.output
+
+    def test_non_finite_policy_file_exit_two(self, runner, tmp_path):
+        spec_path = write_spec(tmp_path, dict(PINNED_SPEC, horizon=2, samples=1))
+        pol_path = tmp_path / "nan.json"
+        pol_path.write_text(json.dumps({
+            "kind": "maxent-steer-policy",
+            "gains": [[[float("nan"), 0.0]], [[0.0, 0.0]]],
+            "feedforwards": [[0.0], [0.0]],
+            "noise_covs": [[[0.0]], [[0.0]]],
+        }))
+        result = runner.invoke(
+            main, ["steer", "--spec", spec_path, "--policy", str(pol_path), "--out", str(tmp_path / "p.csv")]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.stderr.startswith("error: field 'gains': ")
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "p.csv").exists()
 
     def test_csv_values_round_trip_17_digits(self, runner, tmp_path):
         spec_path = write_spec(tmp_path, dict(DENSITY_SPEC, samples=2))

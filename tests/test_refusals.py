@@ -1,4 +1,4 @@
-"""Refusals carry their true reason: a nonpositive entropy weight, a float64
+"""Refusals carry their true reason: a nonpositive (or NaN) entropy weight, a float64
 overflow in the feasibility check, and a gate that is not positive definite."""
 
 import json
@@ -12,8 +12,11 @@ from maxent_steer import (
     BranchDegenerate,
     GateNotPD,
     LinearSystemModel,
+    MaxEntLqrProblem,
     NonpositiveEpsilon,
     bridge_verify,
+    lqr_policy,
+    riccati_backward,
     solve_coupled_lyapunov,
     validate_assumptions,
 )
@@ -66,6 +69,33 @@ class TestNonpositiveEpsilon:
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2, result.output
         assert "verified" not in result.output
+
+    def test_nan_weight_is_refused_like_a_nonpositive_one(self, demo_system):
+        nan = float("nan")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = validate_assumptions(demo_system, DEMO_SIGMA0, DEMO_SIGMA_T, nan)
+            for call in (
+                lambda: solve_coupled_lyapunov(demo_system, DEMO_SIGMA0, DEMO_SIGMA_T, nan),
+                lambda: bridge_verify(demo_system, DEMO_SIGMA0, DEMO_SIGMA_T, nan),
+                lambda: MaxEntLqrProblem(demo_system, np.eye(2), None, nan),
+                lambda: lqr_policy(demo_system, riccati_backward(demo_system, np.eye(2)), epsilon=nan),
+            ):
+                with pytest.raises(NonpositiveEpsilon, match="got nan"):
+                    call()
+        assert not report.feasible
+        assert "epsilon must be positive, got nan" in report.diagnostics
+
+    @pytest.mark.parametrize("command", ["bridge-check", "solve", "validate"])
+    def test_cli_override_nan_is_input_error(self, tmp_path, command):
+        spec = tmp_path / "problem.json"
+        spec.write_text(json.dumps(DENSITY_SPEC))
+        args = [command, "--spec", str(spec), "--epsilon-override", "nan"]
+        if command == "solve":
+            args += ["--out", str(tmp_path / "policy.json")]
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "epsilon must be positive, got nan" in result.stderr
 
 
 class TestFloat64Overflow:
