@@ -2,15 +2,17 @@
 
 Backward Riccati sweep for the quadratic terminal cost, the resulting
 stochastic affine-Gaussian policy, and the entropy-weight normalization
-that reduces any problem to unit weight. Only the Riccati recursion and its
-gate check run per step; the policy is one stacked solve and one stacked
-inverse over all steps. Every feedforward, of a terminal target here and of
-the steered mean in :mod:`~maxent_steer.steering`, is a closed-loop costate
-term (:func:`_costate_feedforward`); no A_k is inverted.
+that reduces any problem to unit weight. Only the Riccati recursion runs per
+step; its gates are checked by one stacked eigenvalue call after the loop,
+and the policy is one stacked solve and one stacked inverse over all steps.
+Every feedforward, of a terminal target here and of the steered mean in
+:mod:`~maxent_steer.steering`, is a closed-loop costate term
+(:func:`_costate_feedforward`); no A_k is inverted.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,10 +101,13 @@ def riccati_backward(sys: LinearSystemModel, terminal_weight) -> RiccatiSolution
     Pi_k = A_k^T Pi_{k+1} A_k
            - A_k^T Pi_{k+1} B_k (I + B_k^T Pi_{k+1} B_k)^{-1} B_k^T Pi_{k+1} A_k
 
-    Each gate is checked for positive definiteness, at the tolerance of
-    ``definiteness``, before inversion; :class:`GateNotPD` reports the step
-    where it fails. The terminal weight may be indefinite. The recursion does
-    not depend on the entropy weight.
+    Every gate must be positive definite at the tolerance of ``definiteness``.
+    The sweep runs the recursion alone and checks all its gates at once
+    afterwards; :class:`GateNotPD` reports the largest failing step, the one
+    where a step-by-step check would have stopped, and nothing computed below
+    it warns or raises. A sweep whose gates pass but whose Pi overflows warns
+    once, naming the first step that is not finite. The terminal weight may be
+    indefinite. The recursion does not depend on the entropy weight.
     """
     f = as_sym(terminal_weight)
     if f.n != sys.n:
@@ -110,19 +115,56 @@ def riccati_backward(sys: LinearSystemModel, terminal_weight) -> RiccatiSolution
     horizon, n, m = sys.horizon, sys.n, sys.m
     pi = np.zeros((horizon + 1, n, n))
     gates = np.zeros((horizon, m, m))
-    pi[horizon] = f.data
+    pi[horizon] = p = f.data
     eye_m = np.eye(m)
-    for k in range(horizon - 1, -1, -1):
-        a, b = sys.A[k], sys.B[k]
-        pb = pi[k + 1] @ b
-        gate = symmetrize(eye_m + b.T @ pb)
-        w = np.linalg.eigvalsh(gate)
-        if not w[0] > DEFINITENESS_RTOL * max(1.0, abs(w[-1])):
-            raise GateNotPD(k, f"gate at step {k} has min eigenvalue {w[0]:.3e}")
-        gates[k] = gate
-        pa = pi[k + 1] @ a
-        pi[k] = symmetrize(a.T @ pa - pa.T @ b @ np.linalg.solve(gate, b.T @ pa))
+    a, b = sys.A, sys.B
+    a_t, b_t = np.swapaxes(a, 1, 2), np.swapaxes(b, 1, 2)
+    singular = None
+    # A step below a refused gate is never used, so it may neither warn nor raise.
+    with np.errstate(all="ignore"):
+        for k in range(horizon - 1, -1, -1):
+            g = eye_m + b_t[k] @ (p @ b[k])
+            g = (g + g.T) / 2
+            gates[k] = g
+            pa = p @ a[k]
+            mk = b_t[k] @ pa  # B_k^T Pi_{k+1} A_k
+            try:
+                x = np.linalg.solve(g, mk)
+            except np.linalg.LinAlgError as exc:
+                singular = exc
+                break
+            p = a_t[k] @ pa - mk.T @ x
+            p = (p + p.T) / 2
+            pi[k] = p
+    refused = _refused_gate(gates[k:], k)
+    lowest = k if refused is None else refused.step + 1
+    bad = np.flatnonzero(~np.isfinite(pi[lowest:]).all(axis=(1, 2)))
+    if bad.size and lowest + bad[-1] < horizon:  # overflowed from a finite Pi_N
+        warnings.warn(
+            f"Riccati sweep overflowed: Pi at step {lowest + int(bad[-1])} is not finite",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    if refused is not None:
+        raise refused
+    if singular is not None:
+        raise singular
     return RiccatiSolution(pi, gates)
+
+
+def _refused_gate(gates: np.ndarray, first_step: int):
+    """The :class:`GateNotPD` of the largest step whose gate is not positive definite,
+    or None. ``gates`` holds the steps from ``first_step`` on, decided by one stacked
+    ``eigvalsh``; a gate that is not finite fails and is reported by its own."""
+    finite = np.isfinite(gates).all(axis=(1, 2))
+    w = np.linalg.eigvalsh(np.where(finite[:, None, None], gates, 0.0))
+    failed = np.flatnonzero(~(w[:, 0] > DEFINITENESS_RTOL * np.maximum(1.0, np.abs(w[:, -1]))))
+    if not failed.size:
+        return None
+    i = int(failed[-1])
+    k = first_step + i
+    w0 = w[i, 0] if finite[i] else np.linalg.eigvalsh(gates[i])[0]
+    return GateNotPD(k, f"gate at step {k} has min eigenvalue {w0:.3e}")
 
 
 def lqr_policy(
@@ -145,14 +187,24 @@ def lqr_policy(
     horizon, n, m = sys.horizon, sys.n, sys.m
     if ric.Pi.shape != (horizon + 1, n, n):
         raise DimensionMismatch("Riccati solution does not match the system")
+    target = _terminal_target(terminal_target, n)
     gains = -np.linalg.solve(ric.gates, np.swapaxes(sys.B, 1, 2) @ ric.Pi[1:] @ sys.A)
     inv_gates = symmetrize(np.linalg.inv(ric.gates))
-    target = np.zeros(n) if terminal_target is None else np.asarray(terminal_target, dtype=np.float64)
     lam = -ric.Pi[-1] @ target  # the terminal costate
     feed = np.zeros((horizon, m))
     if np.any(lam):
         feed = _costate_feedforward(sys, inv_gates, _backward_sweep(sys.A + sys.B @ gains, sys.B)[0], lam)
     return AffineGaussianPolicy(gains, feed, epsilon * inv_gates)
+
+
+def _terminal_target(target, n: int) -> np.ndarray:
+    """The terminal target as a float64 n-vector, zero when omitted."""
+    if target is None:
+        return np.zeros(n)
+    target = np.asarray(target, dtype=np.float64)
+    if target.shape != (n,):
+        raise DimensionMismatch(f"terminal target has shape {target.shape}, state dim is {n}")
+    return target
 
 
 def _costate_feedforward(sys: LinearSystemModel, inv_gates, psi, lam) -> np.ndarray:
@@ -174,10 +226,7 @@ class MaxEntLqrProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "terminal_weight", as_sym(self.terminal_weight))
-        target = np.zeros(self.system.n) if self.terminal_target is None else np.asarray(
-            self.terminal_target, dtype=np.float64
-        )
-        object.__setattr__(self, "terminal_target", target)
+        object.__setattr__(self, "terminal_target", _terminal_target(self.terminal_target, self.system.n))
         _require_positive(self.epsilon)
 
     def solve(self) -> AffineGaussianPolicy:
@@ -218,16 +267,15 @@ def soft_value_offsets(sys: LinearSystemModel, ric: RiccatiSolution, epsilon: fl
     """State-independent additive constants of the soft value function.
 
     Diagnostic only; the policy never needs them. Entry k is the constant
-    carried by the value function at step k, accumulated backward from 0 at
-    the terminal step via the per-step log-normalizer of the Gaussian
-    policy integral.
+    carried by the value function at step k: minus epsilon times the sum,
+    over steps k..N-1, of the log-normalizer of the Gaussian policy
+    integral, so 0 at the terminal step.
     """
     _require_positive(epsilon)
     m = sys.m
+    sign, logdet = np.linalg.slogdet(ric.gates)
+    # log sqrt((2 pi)^m det(eps * gate^{-1})) with det(gate) > 0 by the PD check
+    log_norm = 0.5 * (m * np.log(2 * np.pi) + m * np.log(epsilon) - sign * logdet)
     offsets = np.zeros(sys.horizon + 1)
-    for k in range(sys.horizon - 1, -1, -1):
-        sign, logdet = np.linalg.slogdet(ric.gates[k])
-        # log sqrt((2 pi)^m det(eps * gate^{-1})) with det(gate) > 0 by the PD check
-        log_norm = 0.5 * (m * np.log(2 * np.pi) + m * np.log(epsilon) - sign * logdet)
-        offsets[k] = offsets[k + 1] - epsilon * log_norm
+    offsets[:-1] = np.cumsum(-epsilon * log_norm[::-1])[::-1]
     return offsets

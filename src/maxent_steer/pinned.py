@@ -53,7 +53,6 @@ from .system import (
     _f64,
     _lyapunov_forward,
     _Pipeline,
-    _require_invertible,
     _require_reachable,
     _validate,
     _X,
@@ -156,13 +155,12 @@ class _PinnedPieces:
 def pinned_controller(sys: LinearSystemModel, x0bar, target) -> PinnedController:
     """Point-steering controller driving every path to ``target`` at time N.
 
-    Requires invertible dynamics and an invertible full-horizon
-    reachability Gramian. ``x0bar`` fixes the (deterministic) initial
-    state recorded for simulation; the controller matrices themselves do
-    not depend on it.
+    Requires an invertible full-horizon reachability Gramian G_r(N, 0).
+    No A_k is inverted, so singular dynamics are allowed. ``x0bar`` fixes
+    the (deterministic) initial state recorded for simulation; the
+    controller matrices themselves do not depend on it.
     """
     x0bar, xt = _endpoints(sys, x0bar, target, "points")
-    _require_invertible(sys.A)
     pieces = _PinnedPieces(_xd(sys.A), _xd(sys.B))
     bt_phi_gd = np.swapaxes(_xd(sys.B), -1, -2) @ np.swapaxes(pieces.phi_n[1:], -1, -2) @ pieces.Gd
     policy = AffineGaussianPolicy(
@@ -194,10 +192,10 @@ def pinned_moments_controller(sys: LinearSystemModel, x0bar, target) -> PinnedMo
 
     Propagates the closed loop forward; cross-covariances follow from
     cov(k, s) = cov(k, k) PhiHat(s, k)^T for k <= s, with PhiHat the
-    transition of the pinned closed loop.
+    transition of the pinned closed loop. Like :func:`pinned_controller`,
+    it needs G_r(N, 0) invertible, not A_k.
     """
     x0bar, xt = _endpoints(sys, x0bar, target, "points")
-    _require_invertible(sys.A)
     pieces = _PinnedPieces(_xd(sys.A), _xd(sys.B))
     horizon, n = sys.horizon, sys.n
     mean = np.zeros((horizon + 1, n))

@@ -268,8 +268,10 @@ def _lyapunov_forward(f, q, x0) -> np.ndarray:
     """
     x = np.empty((f.shape[0] + 1,) + f.shape[1:], dtype=f.dtype)
     x[0] = x0
+    f_t = np.swapaxes(f, 1, 2)
     for k in range(f.shape[0]):
-        x[k + 1] = symmetrize(f[k] @ x[k] @ f[k].T + q[k])
+        y = f[k] @ x[k] @ f_t[k] + q[k]
+        x[k + 1] = (y + y.T) / 2
     return x
 
 

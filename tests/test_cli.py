@@ -146,6 +146,15 @@ class TestSteerAndPin:
             assert abs(float(fields[3]) - 0.0) <= 1e-8
             assert fields[4] == ""  # no control at the terminal step
 
+    def test_pin_serves_singular_dynamics(self, runner, tmp_path):
+        """The nilpotent shift plant: every A_k singular, reachable in two steps."""
+        spec = dict(PINNED_SPEC, horizon=6, A=[[0.0, 1.0], [0.0, 0.0]], B=[[0.0], [1.0]])
+        out = tmp_path / "paths.csv"
+        result = runner.invoke(main, ["pin", "--spec", write_spec(tmp_path, spec), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        final = [l.split(",") for l in out.read_text().strip().split("\n")[1:] if l.split(",")[1] == "6"]
+        assert final and all(abs(float(r[2]) - 1.0) <= 1e-9 and abs(float(r[3])) <= 1e-9 for r in final)
+
     def test_pin_rejects_density_spec(self, runner, tmp_path):
         spec_path = write_spec(tmp_path, DENSITY_SPEC)
         result = runner.invoke(main, ["pin", "--spec", spec_path, "--out", str(tmp_path / "o.csv")])

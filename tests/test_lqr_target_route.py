@@ -10,7 +10,14 @@ import mpmath
 import numpy as np
 import pytest
 
-from maxent_steer import LinearSystemModel, MaxEntLqrProblem, SymMatrix, lqr_policy, riccati_backward
+from maxent_steer import (
+    DimensionMismatch,
+    LinearSystemModel,
+    MaxEntLqrProblem,
+    SymMatrix,
+    lqr_policy,
+    riccati_backward,
+)
 
 from conftest import DEMO_A, DEMO_B, DEMO_XT
 
@@ -64,3 +71,12 @@ def test_singular_dynamics_with_a_target(epsilon):
     assert np.abs(policy.feedforwards - feeds).max() <= TOL
     assert np.abs(policy.noise_covs - epsilon * covs).max() <= TOL
     assert np.any(policy.feedforwards[3:])
+
+
+@pytest.mark.parametrize("target", [[1.0, 0.0, 0.0], [1.0], [[1.0], [0.0]]])
+def test_target_of_the_wrong_shape_is_refused(target):
+    sys = LinearSystemModel(DEMO_A, DEMO_B, 5)
+    with pytest.raises(DimensionMismatch, match="terminal target"):
+        lqr_policy(sys, riccati_backward(sys, WEIGHT), target)
+    with pytest.raises(DimensionMismatch, match="terminal target"):
+        MaxEntLqrProblem(sys, SymMatrix(WEIGHT), target, 1.0)

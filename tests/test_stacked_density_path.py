@@ -19,6 +19,7 @@ from maxent_steer import (
     solve_coupled_lyapunov,
 )
 from maxent_steer.linalg import definiteness, inv, solve_linear, sym_eig, symmetrize
+from maxent_steer.lqr import soft_value_offsets
 from maxent_steer.steering import _minus_pair
 from maxent_steer.system import _backward_sweep, _forward_gramians, _pullback_sweep, _validate
 
@@ -111,6 +112,16 @@ def loop_riccati(sys, terminal_weight):
         pa = pi[k + 1] @ a
         pi[k] = symmetrize(a.T @ pa - pa.T @ b @ np.linalg.solve(gate, b.T @ pa))
     return pi, gates
+
+
+def loop_soft_value_offsets(sys, gates, epsilon=1.0):
+    m = sys.m
+    offsets = np.zeros(sys.horizon + 1)
+    for k in range(sys.horizon - 1, -1, -1):
+        sign, logdet = np.linalg.slogdet(gates[k])
+        log_norm = 0.5 * (m * np.log(2 * np.pi) + m * np.log(epsilon) - sign * logdet)
+        offsets[k] = offsets[k + 1] - epsilon * log_norm
+    return offsets
 
 
 def loop_lqr_policy(sys, pi, gates, epsilon=1.0):
@@ -300,3 +311,113 @@ def test_gate_below_the_definiteness_tolerance_is_refused():
         riccati_backward(sys, [[-1.0 + 1e-11]])
     assert info.value.step == 1
     assert str(info.value) == f"gate at step 1 has min eigenvalue {gate:.3e}"
+
+
+def _verdict_grid():
+    """192 time-varying sweeps: n in {1, 2, 3, 5}, m in {1, 2, 4}, N in {3, 20}, and
+    terminal weights from positive definite to strongly indefinite."""
+    rng = np.random.default_rng(2024)
+    for n in (1, 2, 3, 5):
+        for m in (1, 2, 4):
+            for horizon in (3, 20):
+                for shift in (1.0, 0.1, -0.02, -0.2, -1.0, -5.0, -30.0, -300.0):
+                    a = np.eye(n) + 0.4 * rng.standard_normal((horizon, n, n)) / np.sqrt(n)
+                    b = 0.6 * rng.standard_normal((horizon, n, m))
+                    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                    weight = (q * (shift + abs(shift) * rng.uniform(-1, 1, n))) @ q.T
+                    yield LinearSystemModel(a, b, horizon), weight
+
+
+def _outcome(sweep, sys, weight):
+    try:
+        return sweep(sys, weight)
+    except GateNotPD as exc:
+        return exc
+
+
+def test_stacked_gate_verdict_matches_the_checked_loop():
+    """Same bits when the sweep returns; same exception, step and message when it
+    refuses, at the last step or inside the sweep."""
+    seen = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for sys, weight in _verdict_grid():
+            got, want = _outcome(riccati_backward, sys, weight), _outcome(loop_riccati, sys, weight)
+            if isinstance(want, GateNotPD):
+                assert isinstance(got, GateNotPD)
+                assert (got.step, str(got)) == (want.step, str(want))
+                seen.add("last" if want.step == sys.horizon - 1 else "interior")
+            else:
+                assert same_bits(got.Pi, want[0])
+                assert same_bits(got.gates, want[1])
+                seen.add("returned")
+    assert seen == {"returned", "last", "interior"}
+
+
+def test_one_stacked_eigvalsh_per_sweep(monkeypatch):
+    """The step loop decides nothing: one eigvalsh over all gates, and no symmetrize."""
+    sys = LinearSystemModel(np.eye(2), np.eye(2), 5)
+    passing, refused = SymMatrix(np.eye(2)), SymMatrix(-0.6 * np.eye(2))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda g: calls.append(np.shape(g)) or eigvalsh(g))
+    monkeypatch.setattr("maxent_steer.linalg.symmetrize", None)
+    monkeypatch.setattr("maxent_steer.lqr.symmetrize", None)
+    riccati_backward(sys, passing)
+    with pytest.raises(GateNotPD):
+        riccati_backward(sys, refused)
+    assert calls == [(5, 2, 2), (5, 2, 2)]
+
+
+def test_exactly_singular_gate_is_refused_at_its_step():
+    """The gate at step 2 is exactly zero, so its solve fails; the verdict, not the
+    LinAlgError, reports it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GateNotPD) as info:
+            riccati_backward(LinearSystemModel([[1.0]], [[1.0]], 3), [[-1.0]])
+    assert info.value.step == 2
+    assert str(info.value) == "gate at step 2 has min eigenvalue 0.000e+00"
+
+
+def test_overflow_below_a_refused_gate_is_silent():
+    """Pi_3 = -1e300 refuses the gate at step 2; the overflowing steps below it were
+    never part of the result and neither warn nor raise."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GateNotPD) as info:
+            riccati_backward(LinearSystemModel([[1e150]], [[1.0]], 4), [[-0.5]])
+    assert info.value.step == 2
+    assert str(info.value) == "gate at step 2 has min eigenvalue -1.000e+300"
+
+
+def test_gate_that_overflows_is_refused_by_its_own_eigenvalue():
+    """B^T Pi B overflows to inf at step 2; the stacked call skips the gate that is not
+    finite, and the refusal reports the eigenvalue the gate gets alone."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GateNotPD) as info:
+            riccati_backward(LinearSystemModel([[1e160]], [[1e160]], 3), [[1.0]])
+    assert info.value.step == 2
+    assert str(info.value) == "gate at step 2 has min eigenvalue inf"
+
+
+def test_overflow_with_passing_gates_warns_once():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ric = riccati_backward(LinearSystemModel([[1e200]], [[0.0]], 1), [[1.0]])
+    assert ric.Pi[0, 0, 0] == np.inf
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (RuntimeWarning, "Riccati sweep overflowed: Pi at step 0 is not finite")
+    ]
+
+
+def test_soft_value_offsets_match_the_step_loop():
+    rng = np.random.default_rng(17)
+    sys = LinearSystemModel(
+        np.eye(3) + 0.2 * rng.standard_normal((40, 3, 3)), 0.5 * rng.standard_normal((40, 3, 2)), 40
+    )
+    ric = riccati_backward(sys, np.diag([2.0, 1.0, 0.5]))
+    for epsilon in (1.0, 0.3):
+        want = loop_soft_value_offsets(sys, ric.gates, epsilon)
+        assert np.abs(soft_value_offsets(sys, ric, epsilon) - want).max() <= 1e-14 * np.abs(want).max()
