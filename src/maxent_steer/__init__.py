@@ -19,6 +19,7 @@ from .errors import (
     NonpositiveEpsilon,
     NotPD,
     NotTwoDimensional,
+    NumericalLimit,
     ParseError,
     SingularA,
     SingularBlock,
@@ -104,6 +105,7 @@ __all__ = [
     "NormalizedBoundary",
     "NotPD",
     "NotTwoDimensional",
+    "NumericalLimit",
     "ParseError",
     "PinnedController",
     "PinnedMoments",

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Commands: validate, solve, steer, pin, bridge-check, ellipse. Exit status
-is 0 on success, 1 when a problem is infeasible, a verification fails or a
-rollout overflows, and 2 on malformed input, an output path that cannot be
-written included.
+is 0 on success, 1 when a problem is infeasible or hits a numerical limit, a
+verification fails or a rollout overflows, and 2 on malformed input (an
+entropy weight that is not positive and finite, and an output path that
+cannot be written, included).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .linalg import as_sym, definiteness, psd_sqrt
 from .pinned import bridge_verify, point_to_point_policy
 from .simulate import sample_ensemble
 from .steering import _general_policy_and_pair
-from .system import validate_assumptions
+from .system import _epsilon_refusal, validate_assumptions
 
 _INPUT_ERRORS = (ParseError, DimensionMismatch, NotTwoDimensional, NonpositiveEpsilon)
 
@@ -87,8 +88,9 @@ def cmd_validate(spec_path, epsilon_override):
     """Check the solvability assumptions and report diagnostics."""
     spec = _load_spec(spec_path)
     epsilon = epsilon_override if epsilon_override is not None else spec.epsilon
-    if not epsilon > 0:
-        _bail(NonpositiveEpsilon(f"epsilon must be positive, got {epsilon}"), 2)
+    refusal = _epsilon_refusal(epsilon)
+    if refusal is not None:
+        _bail(NonpositiveEpsilon(refusal), 2)
     system = spec.system()
     if spec.mode == "density":
         report = validate_assumptions(

@@ -60,8 +60,20 @@ class BranchDegenerate(SteeringError):
         )
 
 
+class NumericalLimit(SteeringError):
+    """A result is out of reach of the working precision, not mathematically refused:
+    for example a Riccati sweep whose Pi overflowed from a finite terminal weight.
+
+    Carries the step index at which the computation left the representable range.
+    """
+
+    def __init__(self, step, message=None):
+        self.step = step
+        super().__init__(message or f"computation left the floating-point range at step {step}")
+
+
 class NonpositiveEpsilon(SteeringError):
-    """The entropy weight must be strictly positive."""
+    """The entropy weight must be strictly positive and finite."""
 
 
 class InfeasibleProblem(SteeringError):

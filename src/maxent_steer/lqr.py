@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, GateNotPD
+from .errors import DimensionMismatch, GateNotPD, NumericalLimit
 from .linalg import DEFINITENESS_RTOL, SymMatrix, as_sym, symmetrize
 from .system import LinearSystemModel, _backward_sweep, _require_positive
 
@@ -106,8 +106,11 @@ def riccati_backward(sys: LinearSystemModel, terminal_weight) -> RiccatiSolution
     afterwards; :class:`GateNotPD` reports the largest failing step, the one
     where a step-by-step check would have stopped, and nothing computed below
     it warns or raises. A sweep whose gates pass but whose Pi overflows warns
-    once, naming the first step that is not finite. The terminal weight may be
-    indefinite. The recursion does not depend on the entropy weight.
+    once, naming the first step that is not finite; when the refused gate is not
+    finite because the Pi above it overflowed from a finite Pi_N, the sweep
+    raises :class:`NumericalLimit` with that message instead (the limit is the
+    float64 range, not definiteness). The terminal weight may be indefinite.
+    The recursion does not depend on the entropy weight.
     """
     f = as_sym(terminal_weight)
     if f.n != sys.n:
@@ -140,11 +143,12 @@ def riccati_backward(sys: LinearSystemModel, terminal_weight) -> RiccatiSolution
     lowest = k if refused is None else refused.step + 1
     bad = np.flatnonzero(~np.isfinite(pi[lowest:]).all(axis=(1, 2)))
     if bad.size and lowest + bad[-1] < horizon:  # overflowed from a finite Pi_N
-        warnings.warn(
-            f"Riccati sweep overflowed: Pi at step {lowest + int(bad[-1])} is not finite",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        step = lowest + int(bad[-1])
+        message = f"Riccati sweep overflowed: Pi at step {step} is not finite"
+        if refused is not None and bad[0] == 0 and not np.isfinite(gates[refused.step]).all():
+            # the refused gate is not finite because the Pi above it overflowed
+            raise NumericalLimit(step, message)
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
     if refused is not None:
         raise refused
     if singular is not None:

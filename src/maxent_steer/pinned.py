@@ -352,10 +352,11 @@ def bridge_verify(
     Runs on the unit-entropy-weight problem; a different weight is first
     absorbed into the input matrix (noted by ``epsilon_normalized``).
     Report-style: an infeasible instance yields NaN residuals and a
-    ``skipped_reason`` instead of an exception. A nonpositive ``epsilon``
-    raises :class:`NonpositiveEpsilon`.
+    ``skipped_reason`` instead of an exception. An ``epsilon`` that is not
+    positive and finite raises :class:`NonpositiveEpsilon`, and boundary
+    covariances that are not n x n :class:`DimensionMismatch`.
     """
-    sig0, sig_t, bad = _boundary_covs(sigma0, sigma_terminal, epsilon)
+    sig0, sig_t, bad = _boundary_covs(sys, sigma0, sigma_terminal, epsilon)
     normalized = epsilon != 1.0
     work = sys.with_input_scaled(np.sqrt(epsilon)) if normalized else sys
 

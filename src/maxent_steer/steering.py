@@ -17,8 +17,11 @@ Riccati sweep of :mod:`maxent_steer.lqr` from the terminal weight Q_N^{-1},
 and the mean feedforwards, in float64, from that sweep's closed loop.
 
 This module builds no transition product or Gramian of its own: they come
-from :mod:`maxent_steer.system`, whose feasibility check builds the
-normalized ``_Pipeline`` once per solve; the mean feedforwards read
+from :mod:`maxent_steer.system`, whose model keeps the normalized
+``_Pipeline`` of the last boundary it analysed; :func:`_minus_pair` solves
+the minus branch once per pipeline and keeps the read-only
+:class:`LyapunovPair` on it, so the solve, the policy and the bridge check
+asked about one boundary share one solve. The mean feedforwards read
 ``_backward_sweep`` of the closed loop. The P and Q sequences and the
 feedforwards are stacked expressions over all steps, one kernel call per
 stack.
@@ -47,7 +50,7 @@ from .system import (
     INVERTIBILITY_RCOND,
     LinearSystemModel,
     _backward_sweep,
-    _cov_of,
+    _covariances,
     _endpoints,
     _f64,
     _Pipeline,
@@ -91,7 +94,9 @@ class LyapunovPair:
     extended precision. ``gates``, ``gains`` and ``noise_base`` (the
     unit-weight noise covariances) are the per-step output of the Riccati
     sweep from the terminal weight Q_N^{-1}; policy construction reads them
-    instead of re-deriving them from the sequences.
+    instead of re-deriving them from the sequences. The model keeps the pair
+    with its boundary analysis and hands the same object to every caller, so
+    all five arrays are read-only.
     """
 
     P: np.ndarray
@@ -100,18 +105,31 @@ class LyapunovPair:
     gains: np.ndarray
     noise_base: np.ndarray
 
+    def __post_init__(self):
+        for name in ("P", "Q", "gates", "gains", "noise_base"):
+            arr = np.array(getattr(self, name), dtype=np.float64)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
     @property
     def horizon(self) -> int:
         return self.P.shape[0] - 1
 
 
 def _minus_pair(pipe: _Pipeline) -> LyapunovPair:
-    """Minus-branch solution of the boundary problem that ``pipe`` normalized.
+    """Minus-branch solution of the boundary problem that ``pipe`` normalized,
+    solved on first use and kept on ``pipe``; a refusal is not kept.
 
     ``P`` and ``Q`` are solved in ``np.longdouble``; the gates, gains and
     noise covariances come from the Riccati sweep from H_N = Q_N^{-1}, and a
     gate that is not positive definite raises :class:`BranchDegenerate`.
     """
+    if pipe.pair is None:
+        pipe.pair = _solve_minus_pair(pipe)
+    return pipe.pair
+
+
+def _solve_minus_pair(pipe: _Pipeline) -> LyapunovPair:
     qn0 = symmetrize(pipe.s0h @ solve_linear(pipe.f_core, pipe.s0h))
     pn0 = symmetrize(inv(inv(pipe.s0) - inv(qn0)))
     mk_t = np.swapaxes(pipe.mk, -1, -2)
@@ -133,10 +151,11 @@ def _minus_pair(pipe: _Pipeline) -> LyapunovPair:
     )
 
 
-def _boundary_covs(sigma0, sigma_terminal, epsilon):
-    """The boundary covariances and the name of one that is not PD (None if both are)."""
+def _boundary_covs(sys: LinearSystemModel, sigma0, sigma_terminal, epsilon):
+    """The boundary covariances (see :func:`~maxent_steer.system._covariances`) and the name
+    of one that is not PD (None if both are)."""
     _require_positive(epsilon)
-    sig0, sig_t = _cov_of(sigma0), _cov_of(sigma_terminal)
+    sig0, sig_t = _covariances(sys, sigma0, sigma_terminal)
     for name, cov in (("initial", sig0), ("terminal", sig_t)):
         w = np.linalg.eigvalsh(cov)
         if w[0] <= INVERTIBILITY_RCOND * max(1.0, abs(float(w[-1]))):
@@ -155,7 +174,7 @@ def normalized_boundary(
     factors decide solvability. Requires invertible dynamics and an
     invertible full-horizon controllability Gramian.
     """
-    pipe = _Pipeline(sys, epsilon, _cov_of(sigma0), _cov_of(sigma_terminal))
+    pipe = sys._boundary(*_covariances(sys, sigma0, sigma_terminal), epsilon)
     return NormalizedBoundary(
         S0=SymMatrix(_f64(pipe.s0)),
         SN=SymMatrix(_f64(pipe.sn)),
@@ -171,14 +190,15 @@ def solve_coupled_lyapunov(
 
     Validates the solvability assumptions first and raises
     :class:`InfeasibleProblem` (with the report attached) when they fail.
-    Both boundary covariances must be positive definite, and ``epsilon``
-    positive (:class:`NonpositiveEpsilon` otherwise). The returned pair
+    Both boundary covariances must be n x n (:class:`DimensionMismatch`
+    otherwise) and positive definite, and ``epsilon`` positive and finite
+    (:class:`NonpositiveEpsilon` otherwise). The returned pair
     satisfies the two forward recursions, the split boundary conditions,
     and has every gate matrix positive definite; a gate failure raises
     :class:`BranchDegenerate` and indicates violated hypotheses rather than
     a recoverable condition (the plus branch is never a fallback).
     """
-    sig0, sig_t, bad = _boundary_covs(sigma0, sigma_terminal, epsilon)
+    sig0, sig_t, bad = _boundary_covs(sys, sigma0, sigma_terminal, epsilon)
     if bad is not None:
         raise InfeasibleProblem(f"{bad} covariance must be positive definite")
     report, pipe = _validate(sys, sig0, sig_t, epsilon)
@@ -284,7 +304,7 @@ def _plus_branch_gates(sys: LinearSystemModel, sigma0, sigma_terminal, epsilon: 
     minimum eigenvalue of each gate computed where defined. Test harness
     use only; the solver never selects this branch.
     """
-    pipe = _Pipeline(sys, epsilon, _cov_of(sigma0), _cov_of(sigma_terminal))
+    pipe = sys._boundary(*_covariances(sys, sigma0, sigma_terminal), epsilon)
     horizon, n, m = sys.horizon, sys.n, sys.m
     core_plus = 2 * pipe.s0 + np.eye(n, dtype=_X) - pipe.f_core  # S0 + I/2 + root
     qn0 = symmetrize(pipe.s0h @ solve_linear(core_plus, pipe.s0h))

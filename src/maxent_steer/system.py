@@ -8,7 +8,13 @@ the reachability Gramian, and nonsingular normalized boundary factors).
 A :class:`LinearSystemModel` copies its inputs and computes its float64
 feasibility sweeps and extended-precision normalized coordinates at most
 once, so every entry point called on one model shares one analysis of
-(A_k, B_k); what depends on the boundaries or epsilon is computed per call.
+(A_k, B_k). It also keeps the boundary half of the last (Sigma_0, Sigma_N,
+epsilon) it analysed, a :class:`_Pipeline` that in turn keeps the
+minus-branch solve of :mod:`~maxent_steer.steering`: the feasibility check,
+the density solve, the policy and the bridge check asked about one boundary
+share one boundary analysis and one solve. :func:`_covariances` alone checks
+the sizes of the boundary covariances, and :func:`_epsilon_refusal` alone
+decides which entropy weights are refused.
 
 This module owns the sweeps that accumulate transition products and
 Gramians, and :mod:`~maxent_steer.lqr`, :mod:`~maxent_steer.steering`,
@@ -28,6 +34,7 @@ stacked product and one running sum, bit for bit what a per-step loop gives.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -73,7 +80,9 @@ class LinearSystemModel:
 
     The model copies ``A`` and ``B`` into read-only arrays of its own. Its
     feasibility sweeps and normalized coordinates are computed on first use
-    and kept, read-only, for its life; a refusal is not kept.
+    and kept, read-only, for its life; so is the boundary analysis of the
+    last (Sigma_0, Sigma_N, epsilon) asked about, until another replaces it.
+    A refusal is not kept.
     """
 
     A: np.ndarray
@@ -156,6 +165,21 @@ class LinearSystemModel:
         finite = [int(np.isfinite(g).all(axis=(1, 2)).sum()) for g in (fwd, bwd)]
         return a_ok, a_cond, *finite, window
 
+    def _boundary(self, sigma0, sigma_terminal, epsilon) -> _Pipeline:
+        """The boundary :class:`_Pipeline` of the covariances ``sigma0`` and
+        ``sigma_terminal``, as :func:`_covariances` returns them, at weight ``epsilon``.
+
+        The model keeps the last one it built, keyed by the bytes of both covariances
+        and float(epsilon), with the minus-branch solve made from it; a different
+        boundary or weight replaces it. A refusal raises and leaves the kept one.
+        """
+        key = (sigma0.tobytes(), sigma_terminal.tobytes(), float(epsilon))
+        kept = self.__dict__.get("_kept_boundary")
+        if kept is None or kept[0] != key:
+            kept = key, _Pipeline(self, epsilon, sigma0, sigma_terminal)
+            self.__dict__["_kept_boundary"] = kept
+        return kept[1]
+
     @cached_property
     def _normalized(self):
         """The extended-precision A and B, Gc^{-1/2} and the stacked ``phic``, ``mk``
@@ -218,16 +242,36 @@ def _require_invertible(a: np.ndarray, first_step: int = 0):
         raise SingularA(first_step + int(np.argmin(ok)))
 
 
-def _require_positive(epsilon):
-    """Raise :class:`NonpositiveEpsilon` unless the entropy weight is positive (NaN is not)."""
+def _epsilon_refusal(epsilon) -> str | None:
+    """Why the entropy weight is refused, or None for a positive, finite one (NaN is not positive)."""
     if not epsilon > 0:
-        raise NonpositiveEpsilon(f"epsilon must be positive, got {epsilon}")
+        return f"epsilon must be positive, got {epsilon}"
+    if not epsilon < np.inf:
+        return f"epsilon must be finite, got {epsilon}"
+    return None
+
+
+def _require_positive(epsilon):
+    """Raise :class:`NonpositiveEpsilon` unless the entropy weight is positive and finite."""
+    refusal = _epsilon_refusal(epsilon)
+    if refusal is not None:
+        raise NonpositiveEpsilon(refusal)
 
 
 def _require_reachable(gramian):
     """Raise :class:`SingularGramian` unless the full-horizon reachability Gramian is invertible."""
     if rcond_sym(gramian) <= INVERTIBILITY_RCOND:
         raise SingularGramian("reachability Gramian of the full horizon is singular")
+
+
+def _covariances(sys: LinearSystemModel, sigma0, sigma_terminal):
+    """Both boundary covariances, symmetrized, in float64; :class:`DimensionMismatch`
+    unless each is n x n."""
+    covs = tuple(np.asarray(_cov_of(c), dtype=np.float64) for c in (sigma0, sigma_terminal))
+    if any(c.shape != (sys.n, sys.n) for c in covs):
+        shapes = " and ".join("x".join(map(str, c.shape)) for c in covs)
+        raise DimensionMismatch(f"boundary covariances must be {sys.n}x{sys.n}, got {shapes}")
+    return covs
 
 
 def _endpoints(sys: LinearSystemModel, first, second, what: str):
@@ -385,14 +429,18 @@ class _Pipeline:
     and the partial sums ``gcn`` = sum_{j<k} bn_j bn_j^T (gcn[N] = I up to
     round-off). Given boundary covariances it also holds the normalized
     boundary ``s0``, ``sn``, ``s0h`` = s0^{1/2} and the forward and backward
-    factors ``f_core`` + ``b_core`` = I. The coordinates are the model's own
-    read-only copy (``LinearSystemModel._normalized``); only the boundary
-    half is computed here.
+    factors ``f_core`` + ``b_core`` = I, and ``pair`` keeps the minus-branch
+    :class:`~maxent_steer.steering.LyapunovPair` once it is solved. The
+    coordinates are the model's own read-only copy
+    (``LinearSystemModel._normalized``); only the boundary half is computed
+    here, and a boundary pipeline is built through ``LinearSystemModel._boundary``.
+    The model keeps that pipeline, so the pipeline holds its model weakly.
     """
 
     def __init__(self, sys: LinearSystemModel, epsilon=1.0, sigma0=None, sigma_terminal=None):
         _require_positive(epsilon)
-        self.sys = sys
+        self._model = weakref.ref(sys)
+        self.pair = None
         self.A, self.B, gcih, self.phic, self.mk, self.gcn = sys._normalized
         if sigma0 is None:
             return
@@ -404,6 +452,10 @@ class _Pipeline:
         root = psd_sqrt_raw(self.s0h @ self.sn @ self.s0h + eye / 4)
         self.f_core = self.s0 + eye / 2 - root
         self.b_core = -self.s0 + eye / 2 + root
+
+    @property
+    def sys(self) -> LinearSystemModel:
+        return self._model()
 
 
 def _psd_invertible(g: np.ndarray) -> np.ndarray:
@@ -424,11 +476,13 @@ def validate_assumptions(
     Verifies per-step invertibility of A_k, searches for the Gramian
     invertibility window k_r, and, when the boundary covariances are
     supplied, forms the normalized boundary factors and reports their
-    minimum singular values. Closed-form exceptional boundaries (terminal
-    covariance equal to the open-loop forecast, or initial covariance equal
-    to the reverse-time forecast) are flagged in the diagnostics: there the
-    respective factor vanishes identically and the solver does not apply,
-    even though a zero-feedback policy solves the steering problem.
+    minimum singular values. Boundary covariances that are not n x n, and an
+    entropy weight that is not positive and finite, are reported too.
+    Closed-form exceptional boundaries (terminal covariance equal to the
+    open-loop forecast, or initial covariance equal to the reverse-time
+    forecast) are flagged in the diagnostics: there the respective factor
+    vanishes identically and the solver does not apply, even though a
+    zero-feedback policy solves the steering problem.
 
     Never raises; the result is a report.
     """
@@ -439,8 +493,7 @@ def _validate(sys: LinearSystemModel, sigma0, sigma_terminal, epsilon: float):
     """:func:`validate_assumptions` plus the :class:`_Pipeline` its boundary check built.
 
     A feasible report with boundary covariances always comes with its
-    pipeline (otherwise the pipeline may be None), so the solver and the
-    bridge check reuse it instead of normalizing a second time.
+    pipeline, the one the model keeps (otherwise the pipeline may be None).
     """
     horizon = sys.horizon
     diagnostics = []
@@ -461,12 +514,20 @@ def _validate(sys: LinearSystemModel, sigma0, sigma_terminal, epsilon: float):
     pipe = None
     boundary_ok = True
     has_boundary = sigma0 is not None and sigma_terminal is not None
-    if has_boundary and not epsilon > 0:
+    refusals = []
+    if has_boundary:
+        refusals = [_epsilon_refusal(epsilon)]
+        try:
+            covs = _covariances(sys, sigma0, sigma_terminal)
+        except DimensionMismatch as exc:
+            refusals.append(str(exc))
+        refusals = list(filter(None, refusals))
+    if refusals:
         boundary_ok = False
-        diagnostics.append(f"epsilon must be positive, got {epsilon}")
+        diagnostics.extend(refusals)
     elif has_boundary and a_ok.all() and window is not None:
         try:
-            pipe = _Pipeline(sys, epsilon, _cov_of(sigma0), _cov_of(sigma_terminal))
+            pipe = sys._boundary(*covs, epsilon)
         except (SingularGramian, SingularA) as exc:
             boundary_ok = False
             diagnostics.append(f"normalized boundary not computable: {exc}")
