@@ -3,8 +3,8 @@
 Commands: validate, solve, steer, pin, bridge-check, ellipse. Exit status
 is 0 on success, 1 when a problem is infeasible or hits a numerical limit, a
 verification fails or a rollout overflows, and 2 on malformed input (an
-entropy weight that is not positive and finite, and an output path that
-cannot be written, included).
+entropy weight or a bridge-check tolerance that is not positive and finite,
+and an output path that cannot be written, included).
 """
 
 from __future__ import annotations
@@ -212,6 +212,8 @@ def cmd_pin(spec_path, samples, seed, out_path):
 @click.option("--tolerance", type=float, default=1e-7, show_default=True)
 def cmd_bridge_check(spec_path, epsilon_override, tolerance):
     """Verify the bridge identities for a density-mode spec."""
+    if not (np.isfinite(tolerance) and tolerance > 0):
+        _bail(f"tolerance must be positive and finite, got {tolerance:g}", 2)
     spec = _load_spec(spec_path)
     _require_density(spec, "bridge-check")
     epsilon = epsilon_override if epsilon_override is not None else spec.epsilon

@@ -351,7 +351,11 @@ def psd_sqrt_raw(m: np.ndarray, snap_tol: float = 0.0) -> np.ndarray:
 
 def pinv_sym(m: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverses of symmetric matrices (..., n, n) via their eigendecompositions."""
-    w, v = sym_eig(np.asarray(m))
+    return pinv_eig(*sym_eig(np.asarray(m)))
+
+
+def pinv_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """:func:`pinv_sym` of the symmetric matrices with eigenpairs (..., n) and (..., n, n)."""
     cutoff = _cutoff(PINV_RCOND, np.abs(w).max(axis=-1, keepdims=True, initial=0.0))
     winv = np.where(np.abs(w) > cutoff, 1.0 / np.where(w == 0, 1, w), 0)
     return _sym_from_eig(winv, v)
@@ -359,7 +363,12 @@ def pinv_sym(m: np.ndarray) -> np.ndarray:
 
 def rcond_sym(m: np.ndarray) -> float:
     """Reciprocal spectral condition number of a symmetric matrix (0 if singular)."""
-    w = np.abs(sym_eig(np.asarray(m))[0])
+    return rcond_eig(sym_eig(np.asarray(m))[0])
+
+
+def rcond_eig(w: np.ndarray) -> float:
+    """:func:`rcond_sym` of the symmetric matrix with eigenvalues ``w``."""
+    w = np.abs(w)
     hi = float(w.max(initial=0.0))
     if hi == 0:
         return 0.0

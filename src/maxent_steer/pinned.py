@@ -24,6 +24,27 @@ nine digits on the bundled example), so the module computes internally in
 Transition products and Gramians come from the sweeps in
 :mod:`maxent_steer.system`: ``_backward_sweep`` for the pinned pieces of the
 reference and optimal processes, ``_Pipeline`` for the oracle and the bridge.
+
+Each piece of extended-precision work is done once per stack of steps:
+
+- the pinned pieces take one eigendecomposition of the G_r(N, k) stack, which
+  gives the reachability refusal (its k = 0 member), log det G_r(N, 0) and
+  the pseudo-inverses G_r(N, k)^+;
+- the controller's moment kernel is built one diagonal d = s - k at a time
+  for all k, cov(k, k + d) = cov(k, k + d - 1) Ahat_{k+d-1}^T, so N stacked
+  products replace N(N+1)/2 single ones;
+- the path relative entropy is summed in the range of each B_k = U S V^T:
+  with M = V^T N_k V (N_k the unit-weight noise covariance of the optimal
+  process, K_k its gain, Sigma_k its state covariance and r the rank of B_k),
+  step k adds (tr M - log det M - r + tr(V^T K_k Sigma_k K_k^T V)) / 2, from
+  one m x m eigendecomposition stack of B_k^T B_k and one of M;
+- the coupling relative entropy follows the chain rule over x_0, whose law
+  both couplings share: with Y the optimal endpoint cross-covariance,
+  S = Sigma_N - Y Sigma_0^{-1} Y^T and Delta = Y Sigma_0^{-1} - Phi(N, 0), it
+  is (log det G_r(N, 0) - log det S + tr(G_r(N, 0)^{-1} (S + Delta Sigma_0
+  Delta^T)) - n) / 2. S is positive definite for every epsilon > 0; where
+  rounding has lost that (tiny epsilon), :func:`bridge_verify` raises
+  :class:`NumericalLimit`.
 """
 
 from __future__ import annotations
@@ -32,11 +53,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPD
+from .errors import DimensionMismatch, NotPD, NumericalLimit
 from .linalg import (
     _condition_gain,
     _sym_from_eig,
-    pinv_sym,
+    pinv_eig,
     psd_sqrt_raw,
     solve_linear,
     sym_eig,
@@ -124,8 +145,11 @@ class PinnedMoments:
 class _PinnedPieces:
     """Per-step controller matrices in extended precision, stacked over the steps.
 
-    ``phi_n`` and ``gr`` stack Phi(N, k) and G_r(N, k) for k = 0..N.
-    For each step k < N: Gd = G_r(N, k)^+, the state feedforward map
+    ``phi_n`` and ``gr`` stack Phi(N, k) and G_r(N, k) for k = 0..N, and
+    ``logdet_gr0`` is log det G_r(N, 0). One eigendecomposition of the
+    G_r(N, k) stack, k < N, gives that log det, the reachability refusal (its
+    k = 0 member) and the pseudo-inverses. For each step k < N:
+    Gd = G_r(N, k)^+, the state feedforward map
     D_k = B_k B_k^T Phi(N, k+1)^T Gd, the pinned closed loop
     Ahat_k = (I - D_k Phi(N, k+1)) A_k, the input noise covariance
     W_k = I - B_k^T Phi(N, k+1)^T Gd Phi(N, k+1) B_k (snapped PSD), and
@@ -137,12 +161,14 @@ class _PinnedPieces:
         b_seq = np.asarray(b_seq, dtype=a_seq.dtype)
         b_t = np.swapaxes(b_seq, -1, -2)
         phi_n, gr = _backward_sweep(a_seq, b_seq)
-        _require_reachable(gr[0])
+        w, v = sym_eig(gr[:-1])
+        _require_reachable(w[0])
         self.phi_n = phi_n
         self.gr = gr
+        self.logdet_gr0 = np.sum(np.log(w[0]))
         phi_1 = phi_n[1:]
         phi_1t = np.swapaxes(phi_1, -1, -2)
-        self.Gd = pinv_sym(gr[:-1])
+        self.Gd = pinv_eig(w, v)
         self.D = b_seq @ b_t @ phi_1t @ self.Gd
         self.Ahat = (np.eye(a_seq.shape[1], dtype=_X) - self.D @ phi_1) @ a_seq
         w_raw = symmetrize(np.eye(b_seq.shape[2], dtype=_X) - b_t @ phi_1t @ self.Gd @ phi_1 @ b_seq)
@@ -206,16 +232,17 @@ def pinned_moments_controller(sys: LinearSystemModel, x0bar, target) -> PinnedMo
     for k in range(horizon):
         ell = pieces.Ahat[k] @ ell + pieces.D[k] @ xt_x
         mean[k + 1] = _f64(ell)
-    diags_x = _lyapunov_forward(pieces.Ahat, pieces.Lam, 0)
+    # the kernel one diagonal d = s - k at a time, for all k at once, in extended
+    # precision and rounded to float64 once: cov(k, k + d) = cov(k, k + d - 1) Ahat_{k+d-1}^T
+    band = _lyapunov_forward(pieces.Ahat, pieces.Lam, 0)
     ahat_t = np.swapaxes(pieces.Ahat, -1, -2)
-    for k in range(horizon + 1):
-        # row k of the kernel in extended precision, rounded to float64 once
-        row = np.empty((horizon + 1 - k, n, n), dtype=_X)
-        row[0] = diags_x[k]
-        for s in range(k, horizon):
-            row[s - k + 1] = row[s - k] @ ahat_t[s]
-        cov[k, k:] = _f64(row)
-        cov[k + 1 :, k] = np.swapaxes(cov[k, k + 1 :], -1, -2)
+    steps = np.arange(horizon + 1)
+    cov[steps, steps] = _f64(band)
+    for d in range(1, horizon + 1):
+        band = band[:-1] @ ahat_t[d - 1 :]
+        k = steps[: horizon + 1 - d]
+        cov[k, k + d] = _f64(band)
+        cov[k + d, k] = np.swapaxes(cov[k, k + d], -1, -2)
     return PinnedMoments(mean, cov)
 
 
@@ -354,7 +381,9 @@ def bridge_verify(
     Report-style: an infeasible instance yields NaN residuals and a
     ``skipped_reason`` instead of an exception. An ``epsilon`` that is not
     positive and finite raises :class:`NonpositiveEpsilon`, and boundary
-    covariances that are not n x n :class:`DimensionMismatch`.
+    covariances that are not n x n :class:`DimensionMismatch`. An optimal
+    endpoint coupling that is not positive definite at working precision
+    (which only a tiny ``epsilon`` brings about) raises :class:`NumericalLimit`.
     """
     sig0, sig_t, bad = _boundary_covs(sys, sigma0, sigma_terminal, epsilon)
     normalized = epsilon != 1.0
@@ -384,12 +413,23 @@ def bridge_verify(
     sig_t_x = _xd(sig_t)
 
     # endpoint coupling first-order condition with Y the optimal cross-covariance
+    # and S = Sigma_N - Y Sigma_0^{-1} Y^T the Schur complement of the optimal coupling
     y_cross = opt_pieces.phi_n[0] @ sig0_x  # Phi_Q(N, 0) Sigma_0
     phi0 = ref_pieces.phi_n[0]  # Phi(N, 0)
-    gr0 = ref_pieces.gr[0]
-    schur = sig_t_x - y_cross @ solve_linear(sig0_x, y_cross.T)
-    lhs = solve_linear(sig0_x, y_cross.T) @ solve_linear(schur.T, np.eye(n, dtype=_X))
-    rhs = phi0.T @ solve_linear(gr0, np.eye(n, dtype=_X))
+    eye = np.eye(n, dtype=_X)
+    gain_t = solve_linear(sig0_x, y_cross.T)  # Sigma_0^{-1} Y^T
+    schur = sig_t_x - y_cross @ gain_t
+    w_schur = sym_eig(schur)[0]
+    if not w_schur[0] > 0:
+        # positive definite for every epsilon > 0; lost to rounding as epsilon -> 0
+        raise NumericalLimit(
+            horizon,
+            "the optimal endpoint coupling is not positive definite at working precision "
+            f"(min eigenvalue of its Schur complement {float(w_schur[0]):.3e})",
+        )
+    gr0_inv = solve_linear(ref_pieces.gr[0], eye)
+    lhs = gain_t @ solve_linear(schur.T, eye)
+    rhs = phi0.T @ gr0_inv
     res_first_order = _rel(lhs - rhs, rhs)
 
     # coupled-Gramian identity: R1 + R1 Q^{-1} R2 - R2 = 0 over the horizon, with
@@ -409,32 +449,30 @@ def bridge_verify(
     res_cl = _rel(ref_pieces.Ahat - opt_pieces.Ahat, ref_pieces.Ahat)
     res_noise = _rel(ref_pieces.Lam - opt_pieces.Lam, ref_pieces.Lam)
 
-    # path relative entropy vs the endpoint-coupling relative entropy
-    path_kl = _X(0.0)
+    # path relative entropy in the range of each B_k (module docstring), V the
+    # eigenvectors of B_k^T B_k above the relative rank cut; the dropped columns
+    # of V are zeroed and M gets 1 on their diagonal, which adds 1 to tr M and
+    # nothing to log det M, so every step subtracts m in place of r
     s_opt = symmetrize(bhalf_seq @ np.swapaxes(bhalf_seq, -1, -2))
-    w_refs, v_refs = sym_eig(symmetrize(b_seq @ np.swapaxes(b_seq, -1, -2)))
-    w_opts = sym_eig(s_opt)[0]
-    ranks = np.sum(w_refs > INVERTIBILITY_RCOND * np.fmax(1.0, _f64(w_refs[:, -1:])), axis=1)
     sigmas = _lyapunov_forward(acl_seq, s_opt, sig0_x)
-    for k in range(horizon):
-        # a step with no input adds no KL
-        rank = int(ranks[k])
-        if rank > 0:
-            w_ref, v_ref, w_opt = w_refs[k], v_refs[k], w_opts[k]
-            s_ref_pinv = (v_ref[:, -rank:] / w_ref[-rank:]) @ v_ref[:, -rank:].T
-            delta = b_seq[k] @ lyap.gains[k]
-            step = (
-                np.sum(np.log(w_ref[-rank:]))
-                - np.sum(np.log(w_opt[-rank:]))
-                + np.trace(s_ref_pinv @ s_opt[k])
-                + np.trace(s_ref_pinv @ delta @ sigmas[k] @ delta.T)
-                - rank
-            ) / 2
-            path_kl = path_kl + step
-    coupling_opt = np.block([[sig0_x, y_cross.T], [y_cross, sig_t_x]])
-    y_ref = phi0 @ sig0_x  # the reference's cross-covariance
-    coupling_ref = np.block([[sig0_x, y_ref.T], [y_ref, symmetrize(y_ref @ phi0.T + gr0)]])
-    coupling_kl = _kl_x(coupling_opt, coupling_ref)
+    w_b, v_b = sym_eig(np.swapaxes(b_seq, -1, -2) @ b_seq)
+    dropped = ~(w_b > INVERTIBILITY_RCOND * w_b[:, -1:])
+    v_t = np.swapaxes(np.where(dropped[:, None, :], 0, v_b), -1, -2)
+    m_r = v_t @ _xd(lyap.noise_base) @ np.swapaxes(v_t, -1, -2) + np.eye(work.m) * dropped[:, None, :]
+    z = v_t @ lyap.gains
+    quad = np.trace(z @ sigmas[:-1] @ np.swapaxes(z, -1, -2), axis1=-2, axis2=-1)
+    logdet_m = np.sum(np.log(sym_eig(m_r)[0]), axis=-1)
+    path_kl = np.sum(np.trace(m_r, axis1=-2, axis2=-1) - logdet_m - work.m + quad) / 2
+
+    # coupling relative entropy by the chain rule over x_0: given x_0, the optimal
+    # x_N is N(Y Sigma_0^{-1} x_0, S) and the reference's N(Phi(N, 0) x_0, G_r(N, 0))
+    delta = gain_t.T - phi0
+    coupling_kl = (
+        ref_pieces.logdet_gr0
+        - np.sum(np.log(w_schur))
+        + np.trace(gr0_inv @ (schur + delta @ sig0_x @ delta.T))
+        - n
+    ) / 2
     res_kl = abs(float(path_kl - coupling_kl)) / (1.0 + abs(float(coupling_kl)))
 
     return BridgeReport(

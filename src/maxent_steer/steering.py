@@ -238,7 +238,7 @@ def _mean_feedforward(sys: LinearSystemModel, gains, inv_gates, mu0, mu_t) -> np
     not reachable over the horizon.
     """
     psi, s = _backward_sweep(sys.A + sys.B @ gains, sys.B @ psd_sqrt_raw(inv_gates))
-    _require_reachable(s[0])
+    _require_reachable(sym_eig(s[0])[0])
     lam = np.linalg.solve(s[0], psi[0] @ mu0 - mu_t)
     return _costate_feedforward(sys, inv_gates, psi, lam)
 

@@ -46,7 +46,7 @@ from .linalg import (
     SymMatrix,
     as_sym,
     psd_sqrt_raw,
-    rcond_sym,
+    rcond_eig,
     solve_linear,
     sym_eig,
     symmetrize,
@@ -258,9 +258,10 @@ def _require_positive(epsilon):
         raise NonpositiveEpsilon(refusal)
 
 
-def _require_reachable(gramian):
-    """Raise :class:`SingularGramian` unless the full-horizon reachability Gramian is invertible."""
-    if rcond_sym(gramian) <= INVERTIBILITY_RCOND:
+def _require_reachable(w):
+    """Raise :class:`SingularGramian` unless the full-horizon reachability Gramian,
+    given by its eigenvalues ``w``, is invertible."""
+    if rcond_eig(w) <= INVERTIBILITY_RCOND:
         raise SingularGramian("reachability Gramian of the full horizon is singular")
 
 
