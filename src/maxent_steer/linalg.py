@@ -369,6 +369,8 @@ def rcond_sym(m: np.ndarray) -> float:
 def rcond_eig(w: np.ndarray) -> float:
     """:func:`rcond_sym` of the symmetric matrix with eigenvalues ``w``."""
     w = np.abs(w)
+    if w.ndim != 1:
+        raise ValueError(f"rcond_eig takes one vector of eigenvalues, got shape {w.shape}")
     hi = float(w.max(initial=0.0))
     if hi == 0:
         return 0.0

@@ -502,7 +502,7 @@ def coupling_objective(sys: LinearSystemModel, sigma0, sigma_terminal, y) -> flo
     sig_t = _xd(_cov_of(sigma_terminal))
     y = _xd(y)
     phi, gr = _backward_sweep(_xd(sys.A), _xd(sys.B))
-    _require_reachable(gr[0])
+    _require_reachable(sym_eig(gr[0])[0])
     schur = symmetrize(sig_t - y @ solve_linear(sig0, y.T))
     w = sym_eig(schur)[0]
     if w[0] <= 0:

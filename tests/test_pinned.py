@@ -18,6 +18,7 @@ from maxent_steer import (
     sample_ensemble,
     transition,
 )
+from maxent_steer.system import _require_reachable
 
 from conftest import (
     DEMO_A,
@@ -299,6 +300,20 @@ class TestBridgeVerify:
         sys = LinearSystemModel([[0.9, 0.1], [0.05, 1.2]], np.zeros((2, 1)), 10)
         with pytest.raises(SingularGramian, match="reachability Gramian of the full horizon is singular"):
             coupling_objective(sys, DEMO_SIGMA0, DEMO_SIGMA_T, np.zeros((2, 2)))
+
+    def test_coupling_objective_reads_reachability_from_the_spectrum(self):
+        """G_r = N I has zero off-diagonal entries but is well conditioned; G_r = N [[1, 1], [1, 1]]
+        has entries of one size but is singular. Only its eigenvalues tell the two apart."""
+        reachable = LinearSystemModel(np.eye(2), np.eye(2), 10)
+        f = coupling_objective(reachable, DEMO_SIGMA0, DEMO_SIGMA_T, np.zeros((2, 2)))
+        assert f == pytest.approx(np.linalg.slogdet(DEMO_SIGMA_T)[1], rel=1e-12)
+        unreachable = LinearSystemModel(np.eye(2), [[1.0], [1.0]], 10)
+        with pytest.raises(SingularGramian, match="reachability Gramian of the full horizon is singular"):
+            coupling_objective(unreachable, DEMO_SIGMA0, DEMO_SIGMA_T, np.zeros((2, 2)))
+
+    def test_reachability_rule_refuses_a_matrix(self):
+        with pytest.raises(ValueError, match="one vector of eigenvalues"):
+            _require_reachable(10.0 * np.eye(2))
 
 
 def test_singular_dynamics_are_served():
