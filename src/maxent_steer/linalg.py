@@ -5,7 +5,7 @@ Public surface: :class:`SymMatrix`, :class:`DefinitenessReport`,
 :func:`gaussian_condition`, :func:`definiteness`.
 
 The module also hosts dtype-generic kernels (``solve_linear``, ``sym_eig``,
-``psd_sqrt_raw``, ``pinv_sym``) that work on ``float64`` and
+``psd_sqrt_raw``, ``pinv_eig``) that work on ``float64`` and
 ``np.longdouble`` alike.  LAPACK only operates in double precision, so the
 extended-precision path falls back to a partial-pivot LU and a Jacobi
 eigensolver; the boundary-coupled recursions in
@@ -349,25 +349,15 @@ def psd_sqrt_raw(m: np.ndarray, snap_tol: float = 0.0) -> np.ndarray:
     return _sym_from_eig(np.sqrt(w), v)
 
 
-def pinv_sym(m: np.ndarray) -> np.ndarray:
-    """Moore-Penrose inverses of symmetric matrices (..., n, n) via their eigendecompositions."""
-    return pinv_eig(*sym_eig(np.asarray(m)))
-
-
 def pinv_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """:func:`pinv_sym` of the symmetric matrices with eigenpairs (..., n) and (..., n, n)."""
+    """Moore-Penrose inverses of symmetric matrices from their eigenpairs (..., n), (..., n, n)."""
     cutoff = _cutoff(PINV_RCOND, np.abs(w).max(axis=-1, keepdims=True, initial=0.0))
     winv = np.where(np.abs(w) > cutoff, 1.0 / np.where(w == 0, 1, w), 0)
     return _sym_from_eig(winv, v)
 
 
-def rcond_sym(m: np.ndarray) -> float:
-    """Reciprocal spectral condition number of a symmetric matrix (0 if singular)."""
-    return rcond_eig(sym_eig(np.asarray(m))[0])
-
-
 def rcond_eig(w: np.ndarray) -> float:
-    """:func:`rcond_sym` of the symmetric matrix with eigenvalues ``w``."""
+    """Reciprocal spectral condition number of a symmetric matrix from its eigenvalues (0 if singular)."""
     w = np.abs(w)
     if w.ndim != 1:
         raise ValueError(f"rcond_eig takes one vector of eigenvalues, got shape {w.shape}")

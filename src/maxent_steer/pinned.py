@@ -64,16 +64,18 @@ from .linalg import (
     symmetrize,
 )
 from .lqr import AffineGaussianPolicy
-from .steering import _boundary_covs, _minus_pair
+from .steering import _minus_pair
 from .system import (
     INVERTIBILITY_RCOND,
     LinearSystemModel,
     _backward_sweep,
     _cov_of,
+    _covariances,
     _endpoints,
     _f64,
     _lyapunov_forward,
     _Pipeline,
+    _require_positive,
     _require_reachable,
     _validate,
     _X,
@@ -309,12 +311,16 @@ def gaussian_kl(sigma, xi) -> float:
 
     0.5 (log det Xi - log det Sigma + tr(Xi^{-1} Sigma) - n); nonnegative,
     zero exactly when the covariances coincide, and asymmetric in its
-    arguments. Both inputs must be positive definite.
+    arguments. Both inputs must be finite and positive definite (:class:`NotPD`
+    otherwise).
     """
     sigma = _cov_of(sigma)
     xi = _cov_of(xi)
     if sigma.shape != xi.shape:
         raise DimensionMismatch("covariances have different dimensions")
+    for name, cov in (("first", sigma), ("second", xi)):
+        if not np.isfinite(cov).all():
+            raise NotPD(f"{name} covariance is not finite")
     return float(_kl_x(sigma, xi))
 
 
@@ -385,7 +391,8 @@ def bridge_verify(
     endpoint coupling that is not positive definite at working precision
     (which only a tiny ``epsilon`` brings about) raises :class:`NumericalLimit`.
     """
-    sig0, sig_t, bad = _boundary_covs(sys, sigma0, sigma_terminal, epsilon)
+    _require_positive(epsilon)
+    sig0, sig_t, _ = _covariances(sys, sigma0, sigma_terminal)
     normalized = epsilon != 1.0
     work = sys.with_input_scaled(np.sqrt(epsilon)) if normalized else sys
 
@@ -395,8 +402,6 @@ def bridge_verify(
             nan, nan, nan, nan, nan, nan, nan, nan, None, normalized, reason
         )
 
-    if bad is not None:
-        return skipped(f"{bad} covariance is not positive definite")
     report, pipe = _validate(work, sig0, sig_t, 1.0)
     if not report.feasible:
         return skipped("; ".join(report.diagnostics) or "solvability assumptions fail")
@@ -494,13 +499,16 @@ def coupling_objective(sys: LinearSystemModel, sigma0, sigma_terminal, y) -> flo
 
     f(Y) = log det(Sigma_N - Y Sigma_0^{-1} Y^T) + 2 tr(Phi(N,0)^T G_r(N,0)^{-1} Y)
 
-    Raises :class:`SingularGramian` when the full-horizon reachability
-    Gramian is not invertible, and :class:`NotPD` when Y makes the log-det
-    argument leave the cone (such Y are infeasible as cross-covariances).
+    Raises :class:`DimensionMismatch` unless both covariances are n x n,
+    :class:`SingularGramian` when the full-horizon reachability Gramian is not
+    invertible, and :class:`NotPD` when a covariance is not finite and positive
+    definite or Y makes the log-det argument leave the cone (such Y are
+    infeasible as cross-covariances).
     """
-    sig0 = _xd(_cov_of(sigma0))
-    sig_t = _xd(_cov_of(sigma_terminal))
-    y = _xd(y)
+    sig0, sig_t, refusal = _covariances(sys, sigma0, sigma_terminal)
+    if refusal is not None:
+        raise NotPD(refusal)
+    sig0, sig_t, y = _xd(sig0), _xd(sig_t), _xd(y)
     phi, gr = _backward_sweep(_xd(sys.A), _xd(sys.B))
     _require_reachable(sym_eig(gr[0])[0])
     schur = symmetrize(sig_t - y @ solve_linear(sig0, y.T))

@@ -33,13 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchDegenerate, DimensionMismatch, GateNotPD, InfeasibleProblem
+from .errors import BranchDegenerate, DimensionMismatch, GateNotPD, InfeasibleProblem, NotPD
 from .linalg import (
     GaussianMarginal,
     SymMatrix,
     inv,
     psd_sqrt_raw,
-    rcond_sym,
+    rcond_eig,
     solve_linear,
     sym_eig,
     symmetrize,
@@ -151,18 +151,6 @@ def _solve_minus_pair(pipe: _Pipeline) -> LyapunovPair:
     )
 
 
-def _boundary_covs(sys: LinearSystemModel, sigma0, sigma_terminal, epsilon):
-    """The boundary covariances (see :func:`~maxent_steer.system._covariances`) and the name
-    of one that is not PD (None if both are)."""
-    _require_positive(epsilon)
-    sig0, sig_t = _covariances(sys, sigma0, sigma_terminal)
-    for name, cov in (("initial", sig0), ("terminal", sig_t)):
-        w = np.linalg.eigvalsh(cov)
-        if w[0] <= INVERTIBILITY_RCOND * max(1.0, abs(float(w[-1]))):
-            return sig0, sig_t, name
-    return sig0, sig_t, None
-
-
 def normalized_boundary(
     sys: LinearSystemModel, sigma0, sigma_terminal, epsilon: float = 1.0
 ) -> NormalizedBoundary:
@@ -172,9 +160,14 @@ def normalized_boundary(
     square root of the full-horizon controllability Gramian (the terminal
     one pulled back to time zero first); the forward and backward boundary
     factors decide solvability. Requires invertible dynamics and an
-    invertible full-horizon controllability Gramian.
+    invertible full-horizon controllability Gramian. Both covariances must be
+    n x n (:class:`DimensionMismatch` otherwise), finite and positive
+    definite (:class:`NotPD` otherwise).
     """
-    pipe = sys._boundary(*_covariances(sys, sigma0, sigma_terminal), epsilon)
+    sig0, sig_t, refusal = _covariances(sys, sigma0, sigma_terminal)
+    if refusal is not None:
+        raise NotPD(refusal)
+    pipe = sys._boundary(sig0, sig_t, epsilon)
     return NormalizedBoundary(
         S0=SymMatrix(_f64(pipe.s0)),
         SN=SymMatrix(_f64(pipe.sn)),
@@ -191,17 +184,16 @@ def solve_coupled_lyapunov(
     Validates the solvability assumptions first and raises
     :class:`InfeasibleProblem` (with the report attached) when they fail.
     Both boundary covariances must be n x n (:class:`DimensionMismatch`
-    otherwise) and positive definite, and ``epsilon`` positive and finite
-    (:class:`NonpositiveEpsilon` otherwise). The returned pair
+    otherwise), and ``epsilon`` positive and finite (:class:`NonpositiveEpsilon`
+    otherwise); a covariance that is not finite and positive definite is an
+    infeasible problem. The returned pair
     satisfies the two forward recursions, the split boundary conditions,
     and has every gate matrix positive definite; a gate failure raises
     :class:`BranchDegenerate` and indicates violated hypotheses rather than
     a recoverable condition (the plus branch is never a fallback).
     """
-    sig0, sig_t, bad = _boundary_covs(sys, sigma0, sigma_terminal, epsilon)
-    if bad is not None:
-        raise InfeasibleProblem(f"{bad} covariance must be positive definite")
-    report, pipe = _validate(sys, sig0, sig_t, epsilon)
+    _require_positive(epsilon)
+    report, pipe = _validate(sys, *_covariances(sys, sigma0, sigma_terminal)[:2], epsilon)
     if not report.feasible:
         raise InfeasibleProblem(
             "; ".join(report.diagnostics) or "solvability assumptions fail", report
@@ -304,12 +296,12 @@ def _plus_branch_gates(sys: LinearSystemModel, sigma0, sigma_terminal, epsilon: 
     minimum eigenvalue of each gate computed where defined. Test harness
     use only; the solver never selects this branch.
     """
-    pipe = sys._boundary(*_covariances(sys, sigma0, sigma_terminal), epsilon)
+    pipe = sys._boundary(*_covariances(sys, sigma0, sigma_terminal)[:2], epsilon)
     horizon, n, m = sys.horizon, sys.n, sys.m
     core_plus = 2 * pipe.s0 + np.eye(n, dtype=_X) - pipe.f_core  # S0 + I/2 + root
     qn0 = symmetrize(pipe.s0h @ solve_linear(core_plus, pipe.s0h))
     q_seq = _f64(symmetrize(pipe.mk @ (qn0 - pipe.gcn) @ np.swapaxes(pipe.mk, -1, -2)))
-    invertible = all(rcond_sym(q) > INVERTIBILITY_RCOND for q in q_seq)
+    invertible = all(rcond_eig(sym_eig(q)[0]) > INVERTIBILITY_RCOND for q in q_seq)
     bn = pipe.phic[1:] @ pipe.B
     gate_min = np.full(horizon, np.nan)
     for k in range(horizon):

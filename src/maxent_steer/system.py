@@ -12,9 +12,11 @@ once, so every entry point called on one model shares one analysis of
 epsilon) it analysed, a :class:`_Pipeline` that in turn keeps the
 minus-branch solve of :mod:`~maxent_steer.steering`: the feasibility check,
 the density solve, the policy and the bridge check asked about one boundary
-share one boundary analysis and one solve. :func:`_covariances` alone checks
-the sizes of the boundary covariances, and :func:`_epsilon_refusal` alone
-decides which entropy weights are refused.
+share one boundary analysis and one solve. :func:`_covariances` alone admits
+the boundary covariances (n x n, finite, positive definite): every
+boundary-problem entry point reads its verdict, directly or through the
+report of :func:`_validate`. :func:`_epsilon_refusal` alone decides which
+entropy weights are refused.
 
 This module owns the sweeps that accumulate transition products and
 Gramians, and :mod:`~maxent_steer.lqr`, :mod:`~maxent_steer.steering`,
@@ -167,7 +169,7 @@ class LinearSystemModel:
 
     def _boundary(self, sigma0, sigma_terminal, epsilon) -> _Pipeline:
         """The boundary :class:`_Pipeline` of the covariances ``sigma0`` and
-        ``sigma_terminal``, as :func:`_covariances` returns them, at weight ``epsilon``.
+        ``sigma_terminal``, as :func:`_covariances` admits them, at weight ``epsilon``.
 
         The model keeps the last one it built, keyed by the bytes of both covariances
         and float(epsilon), with the minus-branch solve made from it; a different
@@ -266,13 +268,24 @@ def _require_reachable(w):
 
 
 def _covariances(sys: LinearSystemModel, sigma0, sigma_terminal):
-    """Both boundary covariances, symmetrized, in float64; :class:`DimensionMismatch`
-    unless each is n x n."""
+    """Both boundary covariances, symmetrized, in float64, and why the first refused one
+    is refused (None when both are admitted); :class:`DimensionMismatch` unless each is n x n.
+
+    A covariance is admitted when every entry is finite and its smallest eigenvalue
+    exceeds ``INVERTIBILITY_RCOND`` times max(1, |largest|).
+    """
     covs = tuple(np.asarray(_cov_of(c), dtype=np.float64) for c in (sigma0, sigma_terminal))
     if any(c.shape != (sys.n, sys.n) for c in covs):
         shapes = " and ".join("x".join(map(str, c.shape)) for c in covs)
         raise DimensionMismatch(f"boundary covariances must be {sys.n}x{sys.n}, got {shapes}")
-    return covs
+    stack = np.stack(covs)
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    w = np.linalg.eigvalsh(np.where(finite[:, None, None], stack, 0))
+    definite = w[:, 0] > INVERTIBILITY_RCOND * np.maximum(1.0, np.abs(w[:, -1]))
+    for name, fin, pd in zip(("initial", "terminal"), finite, definite):
+        if not (fin and pd):
+            return (*covs, f"{name} covariance is not " + ("positive definite" if fin else "finite"))
+    return (*covs, None)
 
 
 def _endpoints(sys: LinearSystemModel, first, second, what: str):
@@ -477,8 +490,9 @@ def validate_assumptions(
     Verifies per-step invertibility of A_k, searches for the Gramian
     invertibility window k_r, and, when the boundary covariances are
     supplied, forms the normalized boundary factors and reports their
-    minimum singular values. Boundary covariances that are not n x n, and an
-    entropy weight that is not positive and finite, are reported too.
+    minimum singular values. Boundary covariances that are not n x n, finite
+    and positive definite, and an entropy weight that is not positive and
+    finite, are reported too, and no boundary factor is formed for them.
     Closed-form exceptional boundaries (terminal covariance equal to the
     open-loop forecast, or initial covariance equal to the reverse-time
     forecast) are flagged in the diagnostics: there the respective factor
@@ -510,48 +524,41 @@ def _validate(sys: LinearSystemModel, sigma0, sigma_terminal, epsilon: float):
     if window is None:
         diagnostics.append("no reachability-Gramian invertibility window exists")
 
-    f_min = float("nan")
-    b_min = float("nan")
+    f_min = b_min = float("nan")
     pipe = None
     boundary_ok = True
-    has_boundary = sigma0 is not None and sigma_terminal is not None
-    refusals = []
-    if has_boundary:
-        refusals = [_epsilon_refusal(epsilon)]
+    if sigma0 is not None and sigma_terminal is not None:
         try:
-            covs = _covariances(sys, sigma0, sigma_terminal)
+            *covs, cov_refusal = _covariances(sys, sigma0, sigma_terminal)
         except DimensionMismatch as exc:
-            refusals.append(str(exc))
-        refusals = list(filter(None, refusals))
-    if refusals:
-        boundary_ok = False
+            cov_refusal = str(exc)
+        refusals = [r for r in (_epsilon_refusal(epsilon), cov_refusal) if r]
         diagnostics.extend(refusals)
-    elif has_boundary and a_ok.all() and window is not None:
-        try:
-            pipe = sys._boundary(*covs, epsilon)
-        except (SingularGramian, SingularA) as exc:
-            boundary_ok = False
-            diagnostics.append(f"normalized boundary not computable: {exc}")
-        else:
-            sf = np.linalg.svd(_f64(pipe.f_core), compute_uv=False)
-            sb = np.linalg.svd(_f64(pipe.b_core), compute_uv=False)
-            f_min, b_min = float(sf[-1]), float(sb[-1])
-            if f_min <= BOUNDARY_FACTOR_RCOND * max(1.0, float(sf[0])):
+        boundary_ok = not refusals and a_ok.all() and window is not None
+        if boundary_ok:
+            try:
+                pipe = sys._boundary(*covs, epsilon)
+            except (SingularGramian, SingularA) as exc:
                 boundary_ok = False
-                diagnostics.append(
-                    "forward boundary factor is singular: the terminal covariance "
-                    "equals the open-loop forecast Phi S0 Phi^T + eps*G_r, where the "
-                    "zero-feedback policy u ~ N(0, eps*I) is already optimal"
-                )
-            if b_min <= BOUNDARY_FACTOR_RCOND * max(1.0, float(sb[0])):
-                boundary_ok = False
-                diagnostics.append(
-                    "backward boundary factor is singular: the initial covariance "
-                    "equals the reverse-time forecast Phi' SN Phi'^T + eps*G_c, where "
-                    "time-reversed white noise already achieves the transfer"
-                )
-    elif has_boundary:
-        boundary_ok = False
+                diagnostics.append(f"normalized boundary not computable: {exc}")
+            else:
+                sf = np.linalg.svd(_f64(pipe.f_core), compute_uv=False)
+                sb = np.linalg.svd(_f64(pipe.b_core), compute_uv=False)
+                f_min, b_min = float(sf[-1]), float(sb[-1])
+                if f_min <= BOUNDARY_FACTOR_RCOND * max(1.0, float(sf[0])):
+                    boundary_ok = False
+                    diagnostics.append(
+                        "forward boundary factor is singular: the terminal covariance "
+                        "equals the open-loop forecast Phi S0 Phi^T + eps*G_r, where the "
+                        "zero-feedback policy u ~ N(0, eps*I) is already optimal"
+                    )
+                if b_min <= BOUNDARY_FACTOR_RCOND * max(1.0, float(sb[0])):
+                    boundary_ok = False
+                    diagnostics.append(
+                        "backward boundary factor is singular: the initial covariance "
+                        "equals the reverse-time forecast Phi' SN Phi'^T + eps*G_c, where "
+                        "time-reversed white noise already achieves the transfer"
+                    )
 
     feasible = a_ok.all() and window is not None and boundary_ok
     report = FeasibilityReport(

@@ -3,7 +3,8 @@ extended-precision work once per stack. The routes they replaced are kept here
 as references:
 
 - the per-row loop of the moment kernel;
-- ``rcond_sym`` on G_r(N, 0) and then ``pinv_sym`` on the G_r(N, k) stack;
+- ``rcond_eig`` of the spectrum of G_r(N, 0) and then ``pinv_eig`` of the
+  eigenpairs of the G_r(N, k) stack;
 - the path relative entropy as a per-step loop over n x n pseudo-inverses;
 - the coupling relative entropy as ``_kl_x`` on the 2n x 2n coupling blocks.
 
@@ -27,7 +28,7 @@ from maxent_steer import (
     point_to_point_policy,
 )
 from maxent_steer import pinned
-from maxent_steer.linalg import _sym_from_eig, pinv_sym, psd_sqrt_raw, rcond_sym, sym_eig, symmetrize
+from maxent_steer.linalg import _sym_from_eig, pinv_eig, psd_sqrt_raw, rcond_eig, sym_eig, symmetrize
 from maxent_steer.pinned import NOISE_SNAP_RTOL, _kl_x, _PinnedPieces
 from maxent_steer.steering import _minus_pair
 from maxent_steer.system import (
@@ -73,13 +74,13 @@ class LoopPieces:
         b_seq = np.asarray(b_seq, dtype=a_seq.dtype)
         b_t = swap(b_seq)
         phi_n, gr = _backward_sweep(a_seq, b_seq)
-        if rcond_sym(gr[0]) <= INVERTIBILITY_RCOND:
+        if rcond_eig(sym_eig(gr[0])[0]) <= INVERTIBILITY_RCOND:
             raise SingularGramian("reachability Gramian of the full horizon is singular")
         self.phi_n = phi_n
         self.gr = gr
         phi_1 = phi_n[1:]
         phi_1t = swap(phi_1)
-        self.Gd = pinv_sym(gr[:-1])
+        self.Gd = pinv_eig(*sym_eig(gr[:-1]))
         self.D = b_seq @ b_t @ phi_1t @ self.Gd
         self.Ahat = (np.eye(a_seq.shape[1], dtype=_X) - self.D @ phi_1) @ a_seq
         w_raw = symmetrize(np.eye(b_seq.shape[2], dtype=_X) - b_t @ phi_1t @ self.Gd @ phi_1 @ b_seq)
