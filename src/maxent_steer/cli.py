@@ -25,7 +25,7 @@ from .errors import (
 )
 from .linalg import as_sym, definiteness, psd_sqrt
 from .pinned import bridge_verify, point_to_point_policy
-from .simulate import sample_ensemble
+from .simulate import BLOCK, _block_rollout
 from .steering import _general_policy_and_pair
 from .system import _epsilon_refusal, validate_assumptions
 
@@ -154,7 +154,27 @@ def cmd_solve(spec_path, out_path, epsilon_override):
     )
 
 
+def _nonfinite(states, controls):
+    """One block's first step with a non-finite state (None if there is none)
+    and the writer's refusal of a non-finite control (None if there is none)."""
+    finite = np.isfinite(states).all(axis=(0, 2))
+    step = None if finite.all() else int(np.argmin(finite))
+    try:
+        specio._check_finite(controls)
+    except ValueError as exc:
+        return step, str(exc)
+    return step, None
+
+
 def _steer_impl(spec_path, policy_path, samples, seed, out_path, epsilon_override, require_point):
+    """Sample the ensemble and stream it to ``out_path``, one noise block at a time.
+
+    A first pass rolls out every block to find the first non-finite step and
+    keeps nothing; a rollout that overflows exits 1 and leaves ``out_path``
+    untouched. Then the file is opened and the writer's processes roll the
+    blocks out again as they format them, so each process holds at most one
+    block of BLOCK paths, whatever the sample count.
+    """
     spec = _load_spec(spec_path)
     if require_point and spec.mode != "point":
         _bail(ParseError("'pin' needs a point-mode spec (fixed endpoints)"), 2)
@@ -169,18 +189,28 @@ def _steer_impl(spec_path, policy_path, samples, seed, out_path, epsilon_overrid
             policy = point_to_point_policy(system, spec.initial, spec.terminal)
         count = samples if samples is not None else (spec.samples or 1000)
         rng_seed = seed if seed is not None else (spec.seed or 0)
-        # an unstable rollout may overflow; it is refused below by its first non-finite step
-        with np.errstate(over="ignore", invalid="ignore"):
-            ens = sample_ensemble(system, policy, spec.initial, count, rng_seed)
+        block_rollout = _block_rollout(system, policy, spec.initial, count, rng_seed)
     except _INPUT_ERRORS as exc:
         _bail(exc, 2)
     except SteeringError as exc:
         _bail(exc, 1)
-    finite = np.isfinite(ens.states).all(axis=(0, 2))
-    if not finite.all():
-        _bail(f"rollout failed: the sampled states are not finite at step {int(np.argmin(finite))}", 1)
-    _write(specio.write_trajectory_csv, out_path, ens.states, ens.controls)
-    click.echo(f"{count} trajectories ({ens.states.shape[1]} steps) written to {out_path}")
+
+    def rollout(b):
+        # an unstable rollout may overflow; it is refused by its first non-finite step
+        with np.errstate(over="ignore", invalid="ignore"):
+            return block_rollout(b)
+
+    # each block is dropped once its verdict is taken
+    verdicts = [_nonfinite(*rollout(b)) for b in range(-(-count // BLOCK))]
+    bad_steps = [step for step, _ in verdicts if step is not None]
+    if bad_steps:
+        _bail(f"rollout failed: the sampled states are not finite at step {min(bad_steps)}", 1)
+    refusals = [refusal for _, refusal in verdicts if refusal is not None]
+    if refusals:
+        raise ValueError(refusals[0])
+    steps = system.horizon + 1
+    _write(specio._write_trajectories, out_path, count, (steps, system.n, system.m), BLOCK, rollout)
+    click.echo(f"{count} trajectories ({steps} steps) written to {out_path}")
 
 
 @main.command("steer")

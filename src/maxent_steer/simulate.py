@@ -2,9 +2,13 @@
 
 Samples draw their noise in fixed-size blocks: block b holds samples
 b*BLOCK .. b*BLOCK+BLOCK-1 and owns one random stream spawned from
-(seed, b), from which it always draws the full block. Sample i is therefore
-a pure function of (problem, seed, i): no count, execution order or worker
-layout can change it, and a larger ensemble extends a smaller one. The
+(seed, b), from which it always draws and rolls out the full block, trimming
+the last one to the count afterwards. Sample i is therefore a pure function
+of (problem, seed, i): no count, execution order or worker layout can change
+it, and a larger ensemble extends a smaller one (a 1-sample one included).
+One private block rollout serves both :func:`sample_ensemble`, which
+concatenates the blocks, and the command line, which streams them to CSV one
+block at a time, so its memory does not grow with the sample count. The
 sampled values differ from versions that spawned one stream per sample.
 Sampling draws noise through the PSD square root of each step covariance
 with near-zero eigenvalues snapped to exact zero, so the degenerate noise
@@ -72,18 +76,14 @@ def _resolve_policy(policy) -> AffineGaussianPolicy:
     raise TypeError(f"cannot simulate object of type {type(policy).__name__}")
 
 
-def sample_ensemble(
-    sys: LinearSystemModel, policy, initial, count: int, seed: int
-) -> TrajectoryEnsemble:
-    """Draw ``count`` independent closed-loop trajectories.
+def _block_rollout(sys: LinearSystemModel, policy, initial, count: int, seed: int):
+    """Return ``rollout(b)``: the states and controls of samples
+    b*BLOCK .. b*BLOCK+BLOCK-1 of a ``count``-sample ensemble, the last block
+    trimmed to the count.
 
-    ``policy`` is an :class:`AffineGaussianPolicy` or anything exposing
-    ``as_policy()`` (the point-steering controller does); ``initial`` is a
-    :class:`GaussianMarginal` or a fixed initial state vector. Sample i
-    consumes row i % BLOCK of the block stream spawned from
-    (seed, i // BLOCK), so it is a bit-reproducible function of
-    (problem, seed, i) alone; its bits differ from versions that gave every
-    sample its own stream.
+    Checks the dimensions and takes the PSD square roots of the initial and
+    noise covariances once. Every block rolls out all BLOCK rows and is
+    trimmed afterwards, so a row's bits never depend on how many rows are kept.
     """
     policy = _resolve_policy(policy)
     if policy.horizon != sys.horizon or policy.n != sys.n or policy.m != sys.m:
@@ -93,7 +93,6 @@ def sample_ensemble(
         )
     if count < 1:
         raise ValueError("sample count must be at least 1")
-    seed = int(seed)
     horizon, n, m = sys.horizon, sys.n, sys.m
 
     if isinstance(initial, GaussianMarginal):
@@ -106,25 +105,47 @@ def sample_ensemble(
         raise DimensionMismatch(f"initial state has shape {mean0.shape}, expected ({n},)")
 
     sqrt_r = psd_sqrt_raw(policy.noise_covs, snap_tol=PINV_RCOND)
+    base = int(seed) & 0xFFFFFFFFFFFFFFFF
 
-    z0 = np.zeros((count, n))
-    zu = np.zeros((count, horizon, m))
-    base = seed & 0xFFFFFFFFFFFFFFFF
+    def rollout(b: int):
+        rng = np.random.default_rng(np.random.SeedSequence([base, b]))
+        z0 = rng.standard_normal((BLOCK, n))
+        zu = rng.standard_normal((BLOCK, horizon, m))
+        states = np.empty((BLOCK, horizon + 1, n))
+        controls = np.empty((BLOCK, horizon, m))
+        states[:, 0] = mean0 if sqrt0 is None else mean0 + z0 @ sqrt0.T
+        for k in range(horizon):
+            controls[:, k] = (
+                states[:, k] @ policy.gains[k].T + policy.feedforwards[k] + zu[:, k] @ sqrt_r[k].T
+            )
+            states[:, k + 1] = states[:, k] @ sys.A[k].T + controls[:, k] @ sys.B[k].T
+        rows = min(BLOCK, count - b * BLOCK)
+        return states[:rows], controls[:rows]
+
+    return rollout
+
+
+def sample_ensemble(
+    sys: LinearSystemModel, policy, initial, count: int, seed: int
+) -> TrajectoryEnsemble:
+    """Draw ``count`` independent closed-loop trajectories.
+
+    ``policy`` is an :class:`AffineGaussianPolicy` or anything exposing
+    ``as_policy()`` (the point-steering controller does); ``initial`` is a
+    :class:`GaussianMarginal` or a fixed initial state vector. Sample i
+    consumes row i % BLOCK of the block stream spawned from
+    (seed, i // BLOCK), so it is a bit-reproducible function of
+    (problem, seed, i) alone; its bits differ from versions that gave every
+    sample its own stream. The ensemble is the concatenation of full-block
+    rollouts, so a 1-sample ensemble is the prefix of every larger one too
+    (versions that rolled out only ``count`` rows differed there by round-off).
+    """
+    rollout = _block_rollout(sys, policy, initial, count, seed)
+    states = np.empty((count, sys.horizon + 1, sys.n))
+    controls = np.empty((count, sys.horizon, sys.m))
     for lo in range(0, count, BLOCK):
-        rng = np.random.default_rng(np.random.SeedSequence([base, lo // BLOCK]))
-        hi = min(lo + BLOCK, count)
-        z0[lo:hi] = rng.standard_normal((BLOCK, n))[: hi - lo]
-        zu[lo:hi] = rng.standard_normal((BLOCK, horizon, m))[: hi - lo]
-
-    states = np.zeros((count, horizon + 1, n))
-    controls = np.zeros((count, horizon, m))
-    states[:, 0] = mean0 if sqrt0 is None else mean0 + z0 @ sqrt0.T
-    for k in range(horizon):
-        controls[:, k] = (
-            states[:, k] @ policy.gains[k].T + policy.feedforwards[k] + zu[:, k] @ sqrt_r[k].T
-        )
-        states[:, k + 1] = states[:, k] @ sys.A[k].T + controls[:, k] @ sys.B[k].T
-    return TrajectoryEnsemble(states, controls, seed, count)
+        states[lo : lo + BLOCK], controls[lo : lo + BLOCK] = rollout(lo // BLOCK)
+    return TrajectoryEnsemble(states, controls, int(seed), count)
 
 
 def empirical_moments(ens: TrajectoryEnsemble, k: int) -> EmpiricalMoments:

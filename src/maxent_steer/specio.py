@@ -12,7 +12,11 @@ is built, so a large ensemble is never held as strings at once, and
 non-finite values are refused before the file is opened. On POSIX a large
 file is formatted by up to one process per usable CPU: forked workers pipe
 their blocks to the writing process, which writes every block in order, so
-the bytes do not depend on the worker count.
+the bytes do not depend on the worker count. Trajectory records have one
+layout, fed by a source of sample blocks: the command line passes the noise
+blocks of :mod:`~maxent_steer.simulate`, which every process rolls out
+itself, so no process holds more than one block of paths, and
+:func:`write_trajectory_csv` passes its arrays as a single block.
 """
 
 from __future__ import annotations
@@ -363,15 +367,16 @@ def _write_csv(path: str, header: str, record_fmt: str, count: int, records):
         raise RuntimeError(f"CSV worker process(es) {failed} failed")
 
 
-def write_trajectory_csv(path: str, states: np.ndarray, controls: np.ndarray):
-    """Write sampled paths as rows `sample,step,x1..xn,u1..um`.
+def _write_trajectories(path: str, count: int, shape, size: int, rollout):
+    """Write ``count`` sampled paths as rows `sample,step,x1..xn,u1..um`.
 
-    Control columns are empty at the terminal step, which has no input. A
-    non-finite value raises ``ValueError`` before anything is written.
+    ``shape`` is (steps, n, m). ``rollout(b)`` returns the states and controls
+    of samples b*size .. b*size+size-1 (fewer in the last block); ``size`` is a
+    multiple of CSV_CHUNK or at least ``count``, so no chunk spans two blocks.
+    Each process rolls out the block its chunk falls in and keeps only the last
+    one. Callers check finiteness first.
     """
-    count, steps, n = states.shape
-    m = controls.shape[2]
-    _check_finite(states, controls)
+    steps, n, m = shape
     header = (
         "sample,step,"
         + ",".join(f"x{i + 1}" for i in range(n))
@@ -382,16 +387,34 @@ def write_trajectory_csv(path: str, states: np.ndarray, controls: np.ndarray):
     xs, us = ",".join(["%.17g"] * n), ",".join(["%.17g"] * m)
     sample_fmt = "".join(f"%d,{k},{xs},{us}\n" for k in range(steps - 1))
     sample_fmt += f"%d,{steps - 1},{xs},{',' * (m - 1)}\n"
+    held = [None, None]  # index and arrays of the block this process holds
 
     def records(lo, hi):
-        block = np.empty((hi - lo, steps, 1 + n + m))
-        block[:, :, 0] = np.arange(lo, hi)[:, None]
-        block[:, :, 1 : 1 + n] = states[lo:hi]
-        block[:, :-1, 1 + n :] = controls[lo:hi]
+        b = lo // size
+        if held[0] != b:
+            held[:] = b, None  # drop the old block before rolling out the next
+            held[1] = rollout(b)
+        states, controls = held[1]
+        rows = slice(lo - b * size, hi - b * size)
+        table = np.empty((hi - lo, steps, 1 + n + m))
+        table[:, :, 0] = np.arange(lo, hi)[:, None]
+        table[:, :, 1 : 1 + n] = states[rows]
+        table[:, :-1, 1 + n :] = controls[rows]
         # the terminal row carries no controls: drop its last m columns
-        return block.reshape(hi - lo, -1)[:, : steps * (1 + n + m) - m]
+        return table.reshape(hi - lo, -1)[:, : steps * (1 + n + m) - m]
 
     _write_csv(path, header, sample_fmt, count, records)
+
+
+def write_trajectory_csv(path: str, states: np.ndarray, controls: np.ndarray):
+    """Write sampled paths as rows `sample,step,x1..xn,u1..um`.
+
+    Control columns are empty at the terminal step, which has no input. A
+    non-finite value raises ``ValueError`` before anything is written.
+    """
+    count, steps, n = states.shape
+    _check_finite(states, controls)
+    _write_trajectories(path, count, (steps, n, controls.shape[2]), max(count, 1), lambda _b: (states, controls))
 
 
 def write_ellipse_csv(path: str, angles: np.ndarray, points: np.ndarray):

@@ -160,10 +160,13 @@ def normalized_boundary(
     square root of the full-horizon controllability Gramian (the terminal
     one pulled back to time zero first); the forward and backward boundary
     factors decide solvability. Requires invertible dynamics and an
-    invertible full-horizon controllability Gramian. Both covariances must be
+    invertible full-horizon controllability Gramian. ``epsilon`` must be
+    positive and finite (:class:`NonpositiveEpsilon` otherwise, checked
+    first, as in the other boundary entry points), and both covariances
     n x n (:class:`DimensionMismatch` otherwise), finite and positive
     definite (:class:`NotPD` otherwise).
     """
+    _require_positive(epsilon)
     sig0, sig_t, refusal = _covariances(sys, sigma0, sigma_terminal)
     if refusal is not None:
         raise NotPD(refusal)

@@ -46,6 +46,7 @@ from .errors import BadWindow, DimensionMismatch, NonpositiveEpsilon, SingularA,
 from .linalg import (
     GaussianMarginal,
     SymMatrix,
+    _as_float_array,
     as_sym,
     psd_sqrt_raw,
     rcond_eig,
@@ -219,8 +220,16 @@ def _f64(a) -> np.ndarray:
 
 
 def _cov_of(boundary) -> np.ndarray:
+    """The covariance of a boundary, symmetrized unless it holds a non-finite entry.
+
+    A raw array is checked before it is symmetrized, so mirrored +inf and -inf
+    entries are refused as not finite instead of warning in the sum.
+    """
     if isinstance(boundary, GaussianMarginal):
         return boundary.cov.data
+    raw = _as_float_array(boundary)
+    if raw.ndim == 2 and raw.shape[0] == raw.shape[1] and not np.isfinite(raw).all():
+        return raw
     return as_sym(boundary).data
 
 

@@ -137,12 +137,47 @@ class TestOrderOfRefusal:
         with pytest.raises(DimensionMismatch):
             solve_coupled_lyapunov(plant, np.eye(3), -np.eye(2))
 
+    @pytest.mark.parametrize("slot", ["initial", "terminal"])
+    @pytest.mark.parametrize("case", ["size", *sorted(REFUSED)])
+    def test_every_raising_entry_point_refuses_epsilon_first(self, plant, slot, case):
+        sigma0, sigma_t = boundary(slot, np.eye(3) if case == "size" else REFUSED[case][0])
+        for call in (normalized_boundary, solve_coupled_lyapunov, bridge_verify):
+            with pytest.raises(NonpositiveEpsilon, match="^epsilon must be positive, got 0.0$"):
+                call(plant, sigma0, sigma_t, 0.0)
+
     def test_validate_reports_epsilon_and_covariance(self, plant):
         report = validate_assumptions(plant, -np.eye(2), DEMO_SIGMA_T, 0.0)
         assert report.diagnostics == (
             "epsilon must be positive, got 0.0",
             "initial covariance is not positive definite",
         )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("slot", ["initial", "terminal"])
+class TestMirroredInfinities:
+    """+inf and -inf in mirrored entries sum to NaN when symmetrized: the raw
+    input is refused as not finite first, with no warning."""
+
+    cov = np.array([[1.0, np.inf], [-np.inf, 1.0]])
+
+    def test_validate_reports_not_finite(self, plant, slot):
+        report = validate_assumptions(plant, *boundary(slot, self.cov))
+        assert not report.feasible
+        assert report.diagnostics == (f"{slot} covariance is not finite",)
+
+    def test_solver_raises_infeasible(self, plant, slot):
+        with pytest.raises(InfeasibleProblem, match=f"^{slot} covariance is not finite$"):
+            solve_coupled_lyapunov(plant, *boundary(slot, self.cov))
+
+    def test_bridge_verify_skips(self, plant, slot):
+        assert bridge_verify(plant, *boundary(slot, self.cov)).skipped_reason == f"{slot} covariance is not finite"
+
+    def test_normalized_boundary_and_objective_raise_not_pd(self, plant, slot):
+        with pytest.raises(NotPD, match=f"^{slot} covariance is not finite$"):
+            normalized_boundary(plant, *boundary(slot, self.cov))
+        with pytest.raises(NotPD, match=f"^{slot} covariance is not finite$"):
+            coupling_objective(plant, *boundary(slot, self.cov), np.zeros((2, 2)))
 
 
 class TestThreshold:

@@ -9,7 +9,8 @@ import math
 import numpy as np
 import pytest
 
-from maxent_steer import GaussianMarginal, SymMatrix, general_policy, sample_ensemble
+from maxent_steer import GaussianMarginal, LinearSystemModel, SymMatrix, general_policy, sample_ensemble
+from maxent_steer.linalg import PINV_RCOND, psd_sqrt_raw
 from maxent_steer.simulate import BLOCK
 from maxent_steer.specio import CSV_CHUNK, write_ellipse_csv, write_trajectory_csv
 
@@ -109,15 +110,59 @@ def test_ellipse_infinity_refused_before_writing(tmp_path):
     assert path.read_text() == "previous contents\n"
 
 
+def four_state_problem():
+    """n = 4, m = 2, N = 30: a different A_k and B_k at every step."""
+    rng = np.random.default_rng(3)
+    a = np.stack([np.eye(4) + 0.1 * rng.standard_normal((4, 4)) for _ in range(30)])
+    system = LinearSystemModel(a, rng.standard_normal((30, 4, 2)), 30)
+    initial = GaussianMarginal(np.ones(4), SymMatrix(2.0 * np.eye(4)))
+    policy = general_policy(system, initial, GaussianMarginal(np.zeros(4), SymMatrix(0.5 * np.eye(4))), 0.7)
+    return system, policy, initial
+
+
 def test_sample_prefixes_stable_across_block_boundary(demo_system):
     zero = np.zeros(2)
     initial = GaussianMarginal(zero, SymMatrix(DEMO_SIGMA0))
     policy = general_policy(demo_system, initial, GaussianMarginal(zero, SymMatrix(DEMO_SIGMA_T)), 1.0)
-    counts = [5, BLOCK, BLOCK + 1, 2 * BLOCK + 88]
-    runs = [sample_ensemble(demo_system, policy, initial, c, seed=11) for c in counts]
-    for small, large in zip(runs, runs[1:]):
-        k = small.sample_count
-        assert np.array_equal(large.states[:k], small.states)
-        assert np.array_equal(large.controls[:k], small.controls)
-    # distinct blocks draw distinct noise
-    assert not np.array_equal(runs[-1].states[0], runs[-1].states[BLOCK])
+    # a 1-sample ensemble is a prefix too: every block rolls out all its rows
+    counts = [1, 2, 5, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 88]
+    for system, policy, initial in ((demo_system, policy, initial), four_state_problem()):
+        runs = [sample_ensemble(system, policy, initial, c, seed=11) for c in counts]
+        for small, large in zip(runs, runs[1:]):
+            k = small.sample_count
+            assert np.array_equal(large.states[:k], small.states), k
+            assert np.array_equal(large.controls[:k], small.controls), k
+        # distinct blocks draw distinct noise
+        assert not np.array_equal(runs[-1].states[0], runs[-1].states[BLOCK])
+
+
+def whole_ensemble_reference(system, policy, initial, count, seed):
+    """The rollout of all ``count`` rows at once, as earlier versions did it."""
+    n, m, horizon = system.n, system.m, system.horizon
+    z0, zu = np.zeros((count, n)), np.zeros((count, horizon, m))
+    for lo in range(0, count, BLOCK):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, lo // BLOCK]))
+        hi = min(lo + BLOCK, count)
+        z0[lo:hi] = rng.standard_normal((BLOCK, n))[: hi - lo]
+        zu[lo:hi] = rng.standard_normal((BLOCK, horizon, m))[: hi - lo]
+    sqrt0 = psd_sqrt_raw(initial.cov.data, snap_tol=PINV_RCOND)
+    sqrt_r = psd_sqrt_raw(policy.noise_covs, snap_tol=PINV_RCOND)
+    states, controls = np.zeros((count, horizon + 1, n)), np.zeros((count, horizon, m))
+    states[:, 0] = initial.mean + z0 @ sqrt0.T
+    for k in range(horizon):
+        controls[:, k] = states[:, k] @ policy.gains[k].T + policy.feedforwards[k] + zu[:, k] @ sqrt_r[k].T
+        states[:, k + 1] = states[:, k] @ system.A[k].T + controls[:, k] @ system.B[k].T
+    return states, controls
+
+
+def test_block_rollouts_keep_the_whole_ensemble_bits(demo_system):
+    """From two samples on, rolling out block by block changes no bit."""
+    zero = np.zeros(2)
+    initial = GaussianMarginal(zero, SymMatrix(DEMO_SIGMA0))
+    policy = general_policy(demo_system, initial, GaussianMarginal(zero, SymMatrix(DEMO_SIGMA_T)), 1.0)
+    for system, policy, initial in ((demo_system, policy, initial), four_state_problem()):
+        for count in (2, BLOCK - 1, BLOCK + 1, 3 * BLOCK + 7):
+            ens = sample_ensemble(system, policy, initial, count, seed=11)
+            states, controls = whole_ensemble_reference(system, policy, initial, count, 11)
+            assert np.array_equal(ens.states, states), count
+            assert np.array_equal(ens.controls, controls), count
