@@ -74,7 +74,9 @@ class SymMatrix:
 
     Construction symmetrizes the input via (M + M^T) / 2, so the symmetry
     invariant holds by fiat; long recursions re-wrap their results to stop
-    asymmetry drift. The wrapped array is read-only.
+    asymmetry drift. Mirrored +inf and -inf entries become NaN without a
+    warning, for the admission rule to refuse as not finite. The wrapped
+    array is read-only.
     """
 
     data: np.ndarray
@@ -83,7 +85,8 @@ class SymMatrix:
         a = _as_float_array(self.data)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-        a = symmetrize(a)
+        with np.errstate(invalid="ignore"):
+            a = symmetrize(a)
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
 
@@ -350,8 +353,12 @@ def psd_sqrt_raw(m: np.ndarray, snap_tol: float = 0.0) -> np.ndarray:
 
 
 def pinv_eig(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Moore-Penrose inverses of symmetric matrices from their eigenpairs (..., n), (..., n, n)."""
-    cutoff = _cutoff(PINV_RCOND, np.abs(w).max(axis=-1, keepdims=True, initial=0.0))
+    """Moore-Penrose inverses of symmetric matrices from their eigenpairs (..., n), (..., n, n).
+
+    Eigenvalues at or below PINV_RCOND times the largest |eigenvalue| are dropped; the
+    cut has the units of the matrix, so it drops the same directions in any units.
+    """
+    cutoff = PINV_RCOND * np.abs(w).max(axis=-1, keepdims=True, initial=0.0)
     winv = np.where(np.abs(w) > cutoff, 1.0 / np.where(w == 0, 1, w), 0)
     return _sym_from_eig(winv, v)
 

@@ -2,12 +2,13 @@
 
 Backward Riccati sweep for the quadratic terminal cost, the resulting
 stochastic affine-Gaussian policy, and the entropy-weight normalization
-that reduces any problem to unit weight. Only the Riccati recursion runs per
-step; its gates are checked by one stacked eigenvalue call after the loop,
-and the policy is one stacked solve and one stacked inverse over all steps.
-Every feedforward, of a terminal target here and of the steered mean in
+that reduces any problem to unit weight. The sweep is the one backward pass
+over its closed loop: each step keeps its gain K_k and the closed-loop
+transition Psi(N, k), and one stacked eigenvalue call checks the gates after
+the loop. The policy reads the gains and inverts the gates once. Every
+feedforward, of a terminal target here and of the steered mean in
 :mod:`~maxent_steer.steering`, is a closed-loop costate term
-(:func:`_costate_feedforward`); no A_k is inverted.
+(:func:`_costate_feedforward`) on the sweep's Psi; no A_k is inverted.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, GateNotPD, NumericalLimit
 from .linalg import DEFINITENESS_RTOL, SymMatrix, as_sym, symmetrize
-from .system import LinearSystemModel, _backward_sweep, _require_positive
+from .system import LinearSystemModel, _require_positive
 
 __all__ = [
     "AffineGaussianPolicy",
@@ -88,11 +89,15 @@ class RiccatiSolution:
 
     ``Pi`` stacks the N+1 cost-to-go weight matrices; ``gates`` the N
     matrices I + B_k^T Pi_{k+1} B_k whose positive definiteness licenses
-    each step.
+    each step; ``gains`` the N feedback gains
+    K_k = -(I + B_k^T Pi_{k+1} B_k)^{-1} B_k^T Pi_{k+1} A_k; ``psi`` the N+1
+    transitions Psi(N, k) of the closed loop A_k + B_k K_k.
     """
 
     Pi: np.ndarray
     gates: np.ndarray
+    gains: np.ndarray
+    psi: np.ndarray
 
 
 def riccati_backward(sys: LinearSystemModel, terminal_weight) -> RiccatiSolution:
@@ -100,6 +105,9 @@ def riccati_backward(sys: LinearSystemModel, terminal_weight) -> RiccatiSolution
 
     Pi_k = A_k^T Pi_{k+1} A_k
            - A_k^T Pi_{k+1} B_k (I + B_k^T Pi_{k+1} B_k)^{-1} B_k^T Pi_{k+1} A_k
+
+    Each step also keeps K_k (minus its own solve) and accumulates
+    Psi(N, k) = Psi(N, k+1) (A_k + B_k K_k): one backward pass per closed loop.
 
     Every gate must be positive definite at the tolerance of ``definiteness``.
     The sweep runs the recursion alone and checks all its gates at once
@@ -118,7 +126,10 @@ def riccati_backward(sys: LinearSystemModel, terminal_weight) -> RiccatiSolution
     horizon, n, m = sys.horizon, sys.n, sys.m
     pi = np.zeros((horizon + 1, n, n))
     gates = np.zeros((horizon, m, m))
+    gains = np.zeros((horizon, m, n))
+    psi = np.zeros((horizon + 1, n, n))
     pi[horizon] = p = f.data
+    psi[horizon] = q = np.eye(n)
     eye_m = np.eye(m)
     a, b = sys.A, sys.B
     a_t, b_t = np.swapaxes(a, 1, 2), np.swapaxes(b, 1, 2)
@@ -139,6 +150,8 @@ def riccati_backward(sys: LinearSystemModel, terminal_weight) -> RiccatiSolution
             p = a_t[k] @ pa - mk.T @ x
             p = (p + p.T) / 2
             pi[k] = p
+            gains[k] = gain = -x
+            psi[k] = q = q @ (a[k] + b[k] @ gain)
     refused = _refused_gate(gates[k:], k)
     lowest = k if refused is None else refused.step + 1
     bad = np.flatnonzero(~np.isfinite(pi[lowest:]).all(axis=(1, 2)))
@@ -153,7 +166,7 @@ def riccati_backward(sys: LinearSystemModel, terminal_weight) -> RiccatiSolution
         raise refused
     if singular is not None:
         raise singular
-    return RiccatiSolution(pi, gates)
+    return RiccatiSolution(pi, gates, gains, psi)
 
 
 def _refused_gate(gates: np.ndarray, first_step: int):
@@ -183,22 +196,22 @@ def lqr_policy(
     c_k = R_k B_k^T Psi(N, k+1)^T Pi_N xbar_N
     eps R_k, with R_k = (I + B_k^T Pi_{k+1} B_k)^{-1}, the noise covariance
 
-    Psi is the transition of the closed loop A_k + B_k K_k, so no A_k is
-    inverted and singular dynamics are allowed; with a zero (or omitted)
-    target, or one that Pi_N annihilates, every c_k is zero.
+    The gains and the closed-loop transitions Psi are the sweep's own, and
+    R_k is one stacked inverse of its gates, so no A_k is inverted and
+    singular dynamics are allowed; with a zero (or omitted) target, or one
+    that Pi_N annihilates, every c_k is zero.
     """
     _require_positive(epsilon)
     horizon, n, m = sys.horizon, sys.n, sys.m
     if ric.Pi.shape != (horizon + 1, n, n):
         raise DimensionMismatch("Riccati solution does not match the system")
     target = _terminal_target(terminal_target, n)
-    gains = -np.linalg.solve(ric.gates, np.swapaxes(sys.B, 1, 2) @ ric.Pi[1:] @ sys.A)
     inv_gates = symmetrize(np.linalg.inv(ric.gates))
     lam = -ric.Pi[-1] @ target  # the terminal costate
     feed = np.zeros((horizon, m))
     if np.any(lam):
-        feed = _costate_feedforward(sys, inv_gates, _backward_sweep(sys.A + sys.B @ gains, sys.B)[0], lam)
-    return AffineGaussianPolicy(gains, feed, epsilon * inv_gates)
+        feed = _costate_feedforward(sys, inv_gates, ric.psi, lam)
+    return AffineGaussianPolicy(ric.gains, feed, epsilon * inv_gates)
 
 
 def _terminal_target(target, n: int) -> np.ndarray:

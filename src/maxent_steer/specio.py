@@ -6,17 +6,18 @@ significant digits, which round-trips IEEE doubles exactly; documents are
 written in a canonical form (sorted keys, fixed float rendering) so that
 load + save is byte-identical. Trajectories and ellipse boundaries are
 plain CSV with the same 17-digit rendering. Both CSV writers share one
-chunked block formatter: each block of CSV_CHUNK records (samples or
-ellipse rows) is formatted with a single ``%`` and written before the next
-is built, so a large ensemble is never held as strings at once, and
-non-finite values are refused before the file is opened. On POSIX a large
-file is formatted by up to one process per usable CPU: forked workers pipe
-their blocks to the writing process, which writes every block in order, so
-the bytes do not depend on the worker count. Trajectory records have one
-layout, fed by a source of sample blocks: the command line passes the noise
-blocks of :mod:`~maxent_steer.simulate`, which every process rolls out
-itself, so no process holds more than one block of paths, and
-:func:`write_trajectory_csv` passes its arrays as a single block.
+chunked formatter: each chunk of CSV_CHUNK records (samples or ellipse
+rows) is formatted with a single ``%``, and no process holds more than one
+source block of formatted chunks, so a large ensemble is never held as
+strings at once; non-finite values are refused before the file is opened.
+On POSIX a large file is formatted by up to one process per usable CPU:
+forked workers pipe their chunks to the writing process, which writes every
+chunk in order, so the bytes do not depend on the worker count. Trajectory
+records have one layout, fed by a source of sample blocks that are handed
+out whole, so each block is read by one process: the command line passes
+the noise blocks of :mod:`~maxent_steer.simulate`, each rolled out once by
+the process that formats it, so no process holds more than one block of
+paths, and :func:`write_trajectory_csv` passes its arrays a chunk at a time.
 """
 
 from __future__ import annotations
@@ -281,8 +282,8 @@ def load_policy(path: str):
 # ---------------------------------------------------------------------------
 
 
-# Records formatted and written per block: one sample of a trajectory file,
-# one row of an ellipse file. Bounds the strings held at once.
+# Records formatted and piped or written per chunk: a record is one sample of a
+# trajectory file, one row of an ellipse file. Bounds the strings held at once.
 CSV_CHUNK = 64
 # Values a forked worker must format to repay its ~1.5 ms fork (~0.45 us each).
 _FORK_MIN_VALUES = 50_000
@@ -326,22 +327,33 @@ def _receive(pipe) -> str:
     return data.decode()
 
 
-def _write_csv(path: str, header: str, record_fmt: str, count: int, records):
-    """Write ``header`` and ``count`` records, CSV_CHUNK records per block.
+def _write_csv(path: str, header: str, record_fmt: str, count: int, records, size: int = CSV_CHUNK):
+    """Write ``header`` and ``count`` records, CSV_CHUNK records per chunk.
 
     ``records(lo, hi)`` returns the float64 values of records lo..hi-1 as rows
     of an array, and ``record_fmt`` renders one such row (``%.17g`` gives the
     same digits as ``format(x, ".17g")``). Callers check finiteness first, so
-    a refused write leaves ``path`` untouched. Block c is formatted by worker
-    c mod W: worker 0 is this process, which writes the blocks in order, and
-    the others fork once ``path`` is open; a full pipe stalls its worker.
+    a refused write leaves ``path`` untouched. The records come in source
+    blocks of ``size`` records (a multiple of CSV_CHUNK or at least ``count``;
+    by default each chunk is a block of its own), and every chunk of block b
+    is formatted by worker b mod W, so each block is read by one process.
+    Worker 0 is this process, which writes the chunks in order; the others,
+    at most one per block, fork once ``path`` is open. A forked worker formats
+    all chunks of a block before it pipes them, so it works a block ahead of
+    the writer instead of stalling on a full pipe after one chunk.
     """
-    starts = range(0, count, CSV_CHUNK)
-    workers = min(len(starts), _csv_workers(count * record_fmt.count("%")))  # a value per %
+    blocks = -(-count // size)
+    workers = min(blocks, _csv_workers(count * record_fmt.count("%")))  # a value per %
 
-    def block(lo):
+    def chunk(lo):
         hi = min(lo + CSV_CHUNK, count)
         return (record_fmt * (hi - lo)) % tuple(records(lo, hi).ravel().tolist())
+
+    def owned(w):
+        """The encoded chunks of worker ``w``'s blocks, a block at a time."""
+        for b in range(w, blocks, workers):
+            los = range(b * size, min(b * size + size, count), CSV_CHUNK)
+            yield from [chunk(lo).encode() for lo in los]
 
     pids, pipes = [], []
     try:
@@ -353,12 +365,13 @@ def _write_csv(path: str, header: str, record_fmt: str, count: int, records):
                 try:
                     pid = os.fork()
                     if pid == 0:
-                        _csv_worker((block(lo).encode() for lo in starts[w::workers]), wfd, pipes)
+                        _csv_worker(owned(w), wfd, pipes)
                     pids.append(pid)
                 finally:
                     os.close(wfd)
-            for c, lo in enumerate(starts):
-                fh.write(_receive(pipes[c % workers - 1]) if c % workers else block(lo))
+            for lo in range(0, count, CSV_CHUNK):
+                w = lo // size % workers
+                fh.write(_receive(pipes[w - 1]) if w else chunk(lo))
     finally:
         for pipe in pipes:  # a closed pipe stops its worker at the next block
             pipe.close()
@@ -373,8 +386,8 @@ def _write_trajectories(path: str, count: int, shape, size: int, rollout):
     ``shape`` is (steps, n, m). ``rollout(b)`` returns the states and controls
     of samples b*size .. b*size+size-1 (fewer in the last block); ``size`` is a
     multiple of CSV_CHUNK or at least ``count``, so no chunk spans two blocks.
-    Each process rolls out the block its chunk falls in and keeps only the last
-    one. Callers check finiteness first.
+    Each block is rolled out by the one process that formats it, which keeps
+    only the last block it rolled out. Callers check finiteness first.
     """
     steps, n, m = shape
     header = (
@@ -403,7 +416,7 @@ def _write_trajectories(path: str, count: int, shape, size: int, rollout):
         # the terminal row carries no controls: drop its last m columns
         return table.reshape(hi - lo, -1)[:, : steps * (1 + n + m) - m]
 
-    _write_csv(path, header, sample_fmt, count, records)
+    _write_csv(path, header, sample_fmt, count, records, size)
 
 
 def write_trajectory_csv(path: str, states: np.ndarray, controls: np.ndarray):
@@ -414,7 +427,12 @@ def write_trajectory_csv(path: str, states: np.ndarray, controls: np.ndarray):
     """
     count, steps, n = states.shape
     _check_finite(states, controls)
-    _write_trajectories(path, count, (steps, n, controls.shape[2]), max(count, 1), lambda _b: (states, controls))
+
+    def rollout(b):  # the held arrays, a chunk at a time, spread over the workers
+        rows = slice(b * CSV_CHUNK, b * CSV_CHUNK + CSV_CHUNK)
+        return states[rows], controls[rows]
+
+    _write_trajectories(path, count, (steps, n, controls.shape[2]), CSV_CHUNK, rollout)
 
 
 def write_ellipse_csv(path: str, angles: np.ndarray, points: np.ndarray):

@@ -14,15 +14,18 @@ still amplify boundary round-off through the coordinate map, so that
 boundary solve runs in extended precision (``np.longdouble``) and is rounded
 to float64 once at the end. The per-step policy then comes from the float64
 Riccati sweep of :mod:`maxent_steer.lqr` from the terminal weight Q_N^{-1},
-and the mean feedforwards, in float64, from that sweep's closed loop.
+and the mean feedforwards, in float64, from the closed-loop transitions
+Psi(N, k) that the same sweep accumulated.
 
 This module builds no transition product or Gramian of its own: they come
 from :mod:`maxent_steer.system`, whose model keeps the normalized
 ``_Pipeline`` of the last boundary it analysed; :func:`_minus_pair` solves
 the minus branch once per pipeline and keeps the read-only
 :class:`LyapunovPair` on it, so the solve, the policy and the bridge check
-asked about one boundary share one solve. The mean feedforwards read
-``_backward_sweep`` of the closed loop. The P and Q sequences and the
+asked about one boundary share one solve. Each closed loop is swept once:
+the density solve, :func:`mean_steering` and the target feedforwards of
+:func:`~maxent_steer.lqr.lqr_policy` each run one Riccati sweep and read its
+gains and Psi. The P and Q sequences, the mean-steering Gramian and the
 feedforwards are stacked expressions over all steps, one kernel call per
 stack.
 """
@@ -38,7 +41,6 @@ from .linalg import (
     GaussianMarginal,
     SymMatrix,
     inv,
-    psd_sqrt_raw,
     rcond_eig,
     solve_linear,
     sym_eig,
@@ -49,7 +51,6 @@ from .simulate import propagate_policy_moments
 from .system import (
     INVERTIBILITY_RCOND,
     LinearSystemModel,
-    _backward_sweep,
     _covariances,
     _endpoints,
     _f64,
@@ -91,12 +92,13 @@ class LyapunovPair:
     """Minus-branch solution of the coupled Lyapunov boundary problem.
 
     ``P`` and ``Q`` stack the N+1 matrices of the two sequences, solved in
-    extended precision. ``gates``, ``gains`` and ``noise_base`` (the
-    unit-weight noise covariances) are the per-step output of the Riccati
-    sweep from the terminal weight Q_N^{-1}; policy construction reads them
-    instead of re-deriving them from the sequences. The model keeps the pair
-    with its boundary analysis and hands the same object to every caller, so
-    all five arrays are read-only.
+    extended precision. ``gates``, ``gains``, ``noise_base`` (the
+    unit-weight noise covariances) and ``psi`` (the N+1 closed-loop
+    transitions Psi(N, k)) are the output of the Riccati sweep from the
+    terminal weight Q_N^{-1}; policy construction and the mean feedforwards
+    read them instead of re-deriving them. The model keeps the pair with its
+    boundary analysis and hands the same object to every caller, so all six
+    arrays are read-only.
     """
 
     P: np.ndarray
@@ -104,9 +106,10 @@ class LyapunovPair:
     gates: np.ndarray
     gains: np.ndarray
     noise_base: np.ndarray
+    psi: np.ndarray
 
     def __post_init__(self):
-        for name in ("P", "Q", "gates", "gains", "noise_base"):
+        for name in ("P", "Q", "gates", "gains", "noise_base", "psi"):
             arr = np.array(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -120,9 +123,10 @@ def _minus_pair(pipe: _Pipeline) -> LyapunovPair:
     """Minus-branch solution of the boundary problem that ``pipe`` normalized,
     solved on first use and kept on ``pipe``; a refusal is not kept.
 
-    ``P`` and ``Q`` are solved in ``np.longdouble``; the gates, gains and
-    noise covariances come from the Riccati sweep from H_N = Q_N^{-1}, and a
-    gate that is not positive definite raises :class:`BranchDegenerate`.
+    ``P`` and ``Q`` are solved in ``np.longdouble``; the gates, gains, noise
+    covariances and closed-loop transitions come from the Riccati sweep from
+    H_N = Q_N^{-1}, and a gate that is not positive definite raises
+    :class:`BranchDegenerate`.
     """
     if pipe.pair is None:
         pipe.pair = _solve_minus_pair(pipe)
@@ -141,13 +145,13 @@ def _solve_minus_pair(pipe: _Pipeline) -> LyapunovPair:
         ric = riccati_backward(pipe.sys, _f64(inv(q_seq[-1])))
     except GateNotPD as exc:
         raise BranchDegenerate(exc.step, str(exc)) from None
-    policy = lqr_policy(pipe.sys, ric)
     return LyapunovPair(
         P=_f64(p_seq),
         Q=_f64(q_seq),
         gates=ric.gates,
-        gains=policy.gains,
-        noise_base=policy.noise_covs,
+        gains=ric.gains,
+        noise_base=lqr_policy(pipe.sys, ric).noise_covs,
+        psi=ric.psi,
     )
 
 
@@ -221,20 +225,26 @@ def optimal_density_policy(
     return AffineGaussianPolicy(lyap.gains, np.zeros((horizon, m)), epsilon * lyap.noise_base)
 
 
-def _mean_feedforward(sys: LinearSystemModel, gains, inv_gates, mu0, mu_t) -> np.ndarray:
-    """Feedforwards c_k that steer the mean of the closed loop A_k + B_k K_k
-    from ``mu0`` to ``mu_t`` with the least input energy.
+def _steering_gramian(sys: LinearSystemModel, psi, inv_gates) -> np.ndarray:
+    """S = sum_k Psi(N, k+1) B_k R_k B_k^T Psi(N, k+1)^T, the noise Gramian of the closed
+    loop with transitions ``psi`` and inverse gates R_k, as one stacked sum."""
+    w = psi[1:] @ sys.B
+    return symmetrize((w @ inv_gates @ np.swapaxes(w, 1, 2)).sum(axis=0))
 
-    With Psi the closed-loop transition and R_k the inverse gates, the costate
-    feedforwards c_k = -R_k B_k^T Psi(N, k+1)^T lam of :mod:`~maxent_steer.lqr`,
-    where S lam = Psi(N, 0) mu0 - mu_t and
-    S = sum_k Psi(N, k+1) B_k R_k B_k^T Psi(N, k+1)^T. Raises
+
+def _mean_feedforward(sys: LinearSystemModel, psi, inv_gates, mu0, mu_t) -> np.ndarray:
+    """Feedforwards c_k that steer the mean of the closed loop with transitions
+    ``psi`` = Psi(N, k) from ``mu0`` to ``mu_t`` with the least input energy.
+
+    With R_k the inverse gates, the costate feedforwards
+    c_k = -R_k B_k^T Psi(N, k+1)^T lam of :mod:`~maxent_steer.lqr`, where
+    S lam = Psi(N, 0) mu0 - mu_t and S is :func:`_steering_gramian`. Raises
     :class:`SingularGramian` when S is singular, that is when the system is
     not reachable over the horizon.
     """
-    psi, s = _backward_sweep(sys.A + sys.B @ gains, sys.B @ psd_sqrt_raw(inv_gates))
-    _require_reachable(sym_eig(s[0])[0])
-    lam = np.linalg.solve(s[0], psi[0] @ mu0 - mu_t)
+    s = _steering_gramian(sys, psi, inv_gates)
+    _require_reachable(sym_eig(s)[0])
+    lam = np.linalg.solve(s, psi[0] @ mu0 - mu_t)
     return _costate_feedforward(sys, inv_gates, psi, lam)
 
 
@@ -250,8 +260,9 @@ def mean_steering(sys: LinearSystemModel, mu0, mu_terminal):
     horizon. No dynamics inverses are needed.
     """
     mu0, mu_t = _endpoints(sys, mu0, mu_terminal, "means")
-    loop = lqr_policy(sys, riccati_backward(sys, np.eye(sys.n)))
-    feed = _mean_feedforward(sys, loop.gains, loop.noise_covs, mu0, mu_t)
+    ric = riccati_backward(sys, np.eye(sys.n))
+    loop = lqr_policy(sys, ric)
+    feed = _mean_feedforward(sys, ric.psi, loop.noise_covs, mu0, mu_t)
     mu = propagate_policy_moments(sys, AffineGaussianPolicy(loop.gains, feed, loop.noise_covs), mu0)[0]
     return (loop.gains @ mu[:-1, :, None])[:, :, 0] + feed, mu
 
@@ -267,9 +278,9 @@ def general_policy(
     Decomposes into mean steering plus zero-mean covariance steering: the
     gains and noise covariances are those of the zero-mean problem, and the
     feedforwards c_k steer the mean of its closed loop with the least input
-    energy, from the gains and gates the density solve already holds. The
-    closed-loop mean follows the minimum-energy mean path and the
-    closed-loop covariance the zero-mean solution.
+    energy, from the closed-loop transitions and gates the density solve
+    already holds. The closed-loop mean follows the minimum-energy mean path
+    and the closed-loop covariance the zero-mean solution.
     Boundary moments beyond mean and covariance are irrelevant: the same
     policy is optimal for any boundary laws with these first two moments.
     """
@@ -282,7 +293,7 @@ def _general_policy_and_pair(sys, initial, terminal, epsilon):
     base = optimal_density_policy(sys, lyap, epsilon)
     if not (np.any(initial.mean) or np.any(terminal.mean)):
         return base, lyap
-    feed = _mean_feedforward(sys, lyap.gains, lyap.noise_base, initial.mean, terminal.mean)
+    feed = _mean_feedforward(sys, lyap.psi, lyap.noise_base, initial.mean, terminal.mean)
     return AffineGaussianPolicy(base.gains, feed, base.noise_covs), lyap
 
 

@@ -23,7 +23,9 @@ Gramians, and :mod:`~maxent_steer.lqr`, :mod:`~maxent_steer.steering`,
 :mod:`~maxent_steer.pinned` and :mod:`~maxent_steer.simulate` read their
 per-step matrices from them:
 :func:`_backward_sweep` gives Phi(N, k) and G_r(N, k) in the dtype of its
-inputs (the feedforwards run it on a closed loop),
+inputs (of the open loop, and of the extended-precision pinned pieces; the
+float64 closed loops of :mod:`~maxent_steer.lqr` and
+:mod:`~maxent_steer.steering` come from their Riccati sweep),
 :func:`_lyapunov_forward` the forward covariance recursion
 X <- F_k X F_k^T + Q_k that gives G_r(k, 0), closed-loop and pinned
 covariances, and :class:`_Pipeline` the extended-precision normalized
@@ -46,7 +48,6 @@ from .errors import BadWindow, DimensionMismatch, NonpositiveEpsilon, SingularA,
 from .linalg import (
     GaussianMarginal,
     SymMatrix,
-    _as_float_array,
     as_sym,
     psd_sqrt_raw,
     rcond_eig,
@@ -220,17 +221,8 @@ def _f64(a) -> np.ndarray:
 
 
 def _cov_of(boundary) -> np.ndarray:
-    """The covariance of a boundary, symmetrized unless it holds a non-finite entry.
-
-    A raw array is checked before it is symmetrized, so mirrored +inf and -inf
-    entries are refused as not finite instead of warning in the sum.
-    """
-    if isinstance(boundary, GaussianMarginal):
-        return boundary.cov.data
-    raw = _as_float_array(boundary)
-    if raw.ndim == 2 and raw.shape[0] == raw.shape[1] and not np.isfinite(raw).all():
-        return raw
-    return as_sym(boundary).data
+    """The symmetrized covariance of a boundary (a :class:`GaussianMarginal` or a matrix)."""
+    return boundary.cov.data if isinstance(boundary, GaussianMarginal) else as_sym(boundary).data
 
 
 def _a_condition(a: np.ndarray):

@@ -1,8 +1,9 @@
 """`steer` and `pin` stream the ensemble: a first pass rolls out every noise
 block to check it, then the writer's processes roll the blocks out again as
-they format them. The bytes are those of `write_trajectory_csv` on the whole
-`sample_ensemble`, for any sample count and CPU count, and no process holds
-more than one block of paths."""
+they format them, each block in the one process that formats it. The bytes
+are those of `write_trajectory_csv` on the whole `sample_ensemble`, for any
+sample count and CPU count, and no process holds more than one block of
+paths."""
 
 import json
 import os
@@ -15,7 +16,7 @@ from click.testing import CliRunner
 from maxent_steer import AffineGaussianPolicy, GaussianMarginal, LinearSystemModel, cli, simulate, specio
 from maxent_steer.cli import main
 from maxent_steer.simulate import BLOCK, sample_ensemble
-from maxent_steer.specio import CSV_CHUNK, load_policy, load_spec, write_trajectory_csv
+from maxent_steer.specio import load_policy, load_spec, write_trajectory_csv
 from maxent_steer.steering import _general_policy_and_pair
 
 from conftest import DEMO_A, DEMO_B, DEMO_SIGMA0, DEMO_SIGMA_T
@@ -94,7 +95,7 @@ def test_streamed_bytes_equal_the_whole_ensemble_writer(tmp_path, forks, name):
             calls = forks(workers)
             result = steer(spec_path, tmp_path / "new.csv", count, 11)
             assert result.exit_code == 0, result.output
-            assert len(calls) == min(workers, -(-count // CSV_CHUNK)) - 1, (count, workers)
+            assert len(calls) == min(workers, -(-count // BLOCK)) - 1, (count, workers)
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes(), (count, workers)
 
 
@@ -205,3 +206,32 @@ def test_one_block_alive_at_a_time(tmp_path, monkeypatch, forks):
     assert result.exit_code == 0, result.output
     # one check pass and one writing pass over the five blocks
     assert rolled == [0, 1, 2, 3, 4] * 2
+
+
+def test_each_block_is_rolled_out_by_one_writer(tmp_path, monkeypatch, forks):
+    """Across the forked writers, every noise block is rolled out exactly once,
+    by worker b mod 2, after the check pass has rolled out each block once."""
+    forks(2)
+    real = cli._block_rollout
+    log = tmp_path / "rollouts.log"
+
+    def logged(*args):
+        rollout = real(*args)
+
+        def wrapped(b):
+            with open(log, "a") as fh:  # one short append per line, so the processes do not interleave
+                fh.write(f"{os.getpid()} {b}\n")
+            return rollout(b)
+
+        return wrapped
+
+    monkeypatch.setattr(cli, "_block_rollout", logged)
+    blocks = 5
+    result = steer(write_spec(tmp_path, demo_spec()), tmp_path / "paths.csv", (blocks - 1) * BLOCK + 7, 4)
+    assert result.exit_code == 0, result.output
+    entries = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    check, written = entries[:blocks], entries[blocks:]
+    assert check == [(os.getpid(), b) for b in range(blocks)]
+    (child,) = {pid for pid, _ in written} - {os.getpid()}
+    want = [(child if b % 2 else os.getpid(), b) for b in range(blocks)]
+    assert sorted(written, key=lambda e: e[1]) == want

@@ -14,6 +14,7 @@ from maxent_steer import (
     DimensionMismatch,
     GateNotPD,
     GaussianMarginal,
+    InfeasibleProblem,
     LinearSystemModel,
     MaxEntLqrProblem,
     NonpositiveEpsilon,
@@ -129,6 +130,24 @@ class TestNonpositiveEpsilon:
         result = CliRunner().invoke(main, args)
         assert result.exit_code == 2, result.output
         assert "epsilon must be finite, got inf" in result.stderr
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("slot", ["initial", "terminal"])
+@pytest.mark.parametrize(
+    "cov",
+    [[[np.nan, 0.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.inf], [-np.inf, 1.0]]],
+    ids=["nan", "inf", "mirrored-inf"],
+)
+def test_non_finite_marginal_is_refused_as_not_finite(demo_system, slot, cov):
+    """A marginal builds without a warning, mirrored +inf and -inf included, and
+    ``general_policy`` refuses it by its reason."""
+    bad = GaussianMarginal(np.zeros(2), cov)
+    assert not np.isfinite(bad.cov.data).all()
+    good = GaussianMarginal(np.zeros(2), DEMO_SIGMA_T)
+    boundary = (bad, good) if slot == "initial" else (GaussianMarginal(np.zeros(2), DEMO_SIGMA0), bad)
+    with pytest.raises(InfeasibleProblem, match=f"^{slot} covariance is not finite$"):
+        general_policy(demo_system, *boundary)
 
 
 class TestBoundarySize:

@@ -126,12 +126,13 @@ def loop_soft_value_offsets(sys, gates, epsilon=1.0):
 
 def loop_lqr_policy(sys, pi, gates, epsilon=1.0):
     """Gains and noise covariances; the target feedforwards are held to an
-    extended-precision reference in ``test_lqr_target_route.py`` instead."""
+    extended-precision reference in ``test_lqr_target_route.py`` instead.
+    The gains are the Riccati step's own solve, of B_k^T (Pi_{k+1} A_k)."""
     horizon, n, m = sys.horizon, sys.n, sys.m
     gains = np.zeros((horizon, m, n))
     covs = np.zeros((horizon, m, m))
     for k in range(horizon):
-        gains[k] = -np.linalg.solve(gates[k], sys.B[k].T @ pi[k + 1] @ sys.A[k])
+        gains[k] = -np.linalg.solve(gates[k], sys.B[k].T @ (pi[k + 1] @ sys.A[k]))
         covs[k] = epsilon * symmetrize(np.linalg.inv(gates[k]))
     return gains, (covs + np.swapaxes(covs, 1, 2)) / 2
 
