@@ -18,28 +18,33 @@ path-space and coupling relative entropies.
 
 Long unstable horizons make several of these comparisons catastrophically
 ill-conditioned in double precision (the conditioning route loses up to
-nine digits on the bundled example), so the module computes internally in
-``np.longdouble`` like the steering solver and reports float64 results.
+nine digits on the bundled example), so the module forms transition
+products and Gramians in ``np.longdouble`` like the steering solver and
+reports float64 results. The moments of a policy are float64: the pinned
+kernel and the path relative entropy read those that
+:func:`~maxent_steer.simulate.propagate_policy_moments` gives for the
+float64 policy, the one that sampling draws from.
 
 Transition products and Gramians come from the sweeps in
 :mod:`maxent_steer.system`: ``_backward_sweep`` for the pinned pieces of the
 reference and optimal processes, ``_Pipeline`` for the oracle and the bridge.
 
-Each piece of extended-precision work is done once per stack of steps:
+Each piece of work is done once per stack of steps:
 
 - the pinned pieces take one eigendecomposition of the G_r(N, k) stack, which
   gives the reachability refusal (its k = 0 member), log det G_r(N, 0) and
   the pseudo-inverses G_r(N, k)^+;
 - the controller's moment kernel is built one diagonal d = s - k at a time
-  for all k, cov(k, k + d) = cov(k, k + d - 1) Ahat_{k+d-1}^T, so N stacked
-  products replace N(N+1)/2 single ones;
+  for all k, cov(k, k + d) = cov(k, k + d - 1) (A + B K)_{k+d-1}^T, so N
+  stacked products replace N(N+1)/2 single ones;
 - the path relative entropy is summed in the range of each B_k = U S V^T:
   with M = V^T N_k V (N_k the unit-weight noise covariance of the optimal
   process, K_k its gain, Sigma_k its state covariance and r the rank of B_k),
   step k adds (tr M - log det M - r + tr(V^T K_k Sigma_k K_k^T V)) / 2, from
   one m x m eigendecomposition stack of B_k^T B_k and one of M;
 - the coupling relative entropy follows the chain rule over x_0, whose law
-  both couplings share: with Y the optimal endpoint cross-covariance,
+  both couplings share: with Y = Phi_Q(N, 0) Sigma_0 the optimal endpoint
+  cross-covariance (Phi_Q the optimal closed loop's transition),
   S = Sigma_N - Y Sigma_0^{-1} Y^T and Delta = Y Sigma_0^{-1} - Phi(N, 0), it
   is (log det G_r(N, 0) - log det S + tr(G_r(N, 0)^{-1} (S + Delta Sigma_0
   Delta^T)) - n) / 2. S is positive definite for every epsilon > 0; where
@@ -55,6 +60,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotPD, NumericalLimit
 from .linalg import (
+    GaussianMarginal,
     _condition_gain,
     _sym_from_eig,
     pinv_eig,
@@ -64,7 +70,8 @@ from .linalg import (
     symmetrize,
 )
 from .lqr import AffineGaussianPolicy
-from .steering import _minus_pair
+from .simulate import propagate_policy_moments
+from .steering import _minus_pair, optimal_density_policy
 from .system import (
     INVERTIBILITY_RCOND,
     LinearSystemModel,
@@ -73,7 +80,6 @@ from .system import (
     _covariances,
     _endpoints,
     _f64,
-    _lyapunov_forward,
     _Pipeline,
     _require_positive,
     _require_reachable,
@@ -184,9 +190,9 @@ def pinned_controller(sys: LinearSystemModel, x0bar, target) -> PinnedController
     """Point-steering controller driving every path to ``target`` at time N.
 
     Requires an invertible full-horizon reachability Gramian G_r(N, 0).
-    No A_k is inverted, so singular dynamics are allowed. ``x0bar`` fixes
-    the (deterministic) initial state recorded for simulation; the
-    controller matrices themselves do not depend on it.
+    No A_k is inverted, so singular dynamics are allowed. The controller
+    does not depend on ``x0bar``, which is only checked for its dimension;
+    it is the initial state of the mean of :func:`pinned_moments_controller`.
     """
     x0bar, xt = _endpoints(sys, x0bar, target, "points")
     pieces = _PinnedPieces(_xd(sys.A), _xd(sys.B))
@@ -218,33 +224,25 @@ def point_to_point_policy(sys: LinearSystemModel, x0bar, target) -> AffineGaussi
 def pinned_moments_controller(sys: LinearSystemModel, x0bar, target) -> PinnedMoments:
     """Mean path and covariance kernel of the controller-driven process.
 
-    Propagates the closed loop forward; cross-covariances follow from
-    cov(k, s) = cov(k, k) PhiHat(s, k)^T for k <= s, with PhiHat the
-    transition of the pinned closed loop. Like :func:`pinned_controller`,
-    it needs G_r(N, 0) invertible, not A_k.
+    The moments of the float64 policy of :func:`pinned_controller`, the one
+    that sampling draws from: the mean and the covariances cov(k, k) come from
+    :func:`~maxent_steer.simulate.propagate_policy_moments`, and the
+    cross-covariances follow one diagonal d = s - k at a time for all k,
+    cov(k, k + d) = cov(k, k + d - 1) (A + B K)_{k+d-1}^T. Like
+    :func:`pinned_controller`, it needs G_r(N, 0) invertible, not A_k.
     """
-    x0bar, xt = _endpoints(sys, x0bar, target, "points")
-    pieces = _PinnedPieces(_xd(sys.A), _xd(sys.B))
+    policy = pinned_controller(sys, x0bar, target).policy
+    mean, band = propagate_policy_moments(sys, policy, x0bar)
     horizon, n = sys.horizon, sys.n
-    mean = np.zeros((horizon + 1, n))
     cov = np.zeros((horizon + 1, horizon + 1, n, n))
-    ell = _xd(x0bar)
-    xt_x = _xd(xt)
-    mean[0] = _f64(ell)
-    for k in range(horizon):
-        ell = pieces.Ahat[k] @ ell + pieces.D[k] @ xt_x
-        mean[k + 1] = _f64(ell)
-    # the kernel one diagonal d = s - k at a time, for all k at once, in extended
-    # precision and rounded to float64 once: cov(k, k + d) = cov(k, k + d - 1) Ahat_{k+d-1}^T
-    band = _lyapunov_forward(pieces.Ahat, pieces.Lam, 0)
-    ahat_t = np.swapaxes(pieces.Ahat, -1, -2)
+    acl_t = np.swapaxes(sys.A + sys.B @ policy.gains, -1, -2)
     steps = np.arange(horizon + 1)
-    cov[steps, steps] = _f64(band)
+    cov[steps, steps] = band
     for d in range(1, horizon + 1):
-        band = band[:-1] @ ahat_t[d - 1 :]
+        band = band[:-1] @ acl_t[d - 1 :]
         k = steps[: horizon + 1 - d]
-        cov[k, k + d] = _f64(band)
-        cov[k + d, k] = np.swapaxes(cov[k, k + d], -1, -2)
+        cov[k, k + d] = band
+        cov[k + d, k] = np.swapaxes(band, -1, -2)
     return PinnedMoments(mean, cov)
 
 
@@ -422,7 +420,7 @@ def bridge_verify(
     y_cross = opt_pieces.phi_n[0] @ sig0_x  # Phi_Q(N, 0) Sigma_0
     phi0 = ref_pieces.phi_n[0]  # Phi(N, 0)
     eye = np.eye(n, dtype=_X)
-    gain_t = solve_linear(sig0_x, y_cross.T)  # Sigma_0^{-1} Y^T
+    gain_t = opt_pieces.phi_n[0].T  # Sigma_0^{-1} Y^T
     schur = sig_t_x - y_cross @ gain_t
     w_schur = sym_eig(schur)[0]
     if not w_schur[0] > 0:
@@ -454,19 +452,20 @@ def bridge_verify(
     res_cl = _rel(ref_pieces.Ahat - opt_pieces.Ahat, ref_pieces.Ahat)
     res_noise = _rel(ref_pieces.Lam - opt_pieces.Lam, ref_pieces.Lam)
 
-    # path relative entropy in the range of each B_k (module docstring), V the
+    # path relative entropy in the range of each B_k (module docstring), in float64
+    # on the state covariances of the unit-weight optimal policy, V the
     # eigenvectors of B_k^T B_k above the relative rank cut; the dropped columns
     # of V are zeroed and M gets 1 on their diagonal, which adds 1 to tr M and
     # nothing to log det M, so every step subtracts m in place of r
-    s_opt = symmetrize(bhalf_seq @ np.swapaxes(bhalf_seq, -1, -2))
-    sigmas = _lyapunov_forward(acl_seq, s_opt, sig0_x)
-    w_b, v_b = sym_eig(np.swapaxes(b_seq, -1, -2) @ b_seq)
+    policy = optimal_density_policy(work, lyap, 1.0)
+    sigmas = propagate_policy_moments(work, policy, GaussianMarginal(np.zeros(n), sig0))[1]
+    w_b, v_b = np.linalg.eigh(np.swapaxes(work.B, -1, -2) @ work.B)
     dropped = ~(w_b > INVERTIBILITY_RCOND * w_b[:, -1:])
     v_t = np.swapaxes(np.where(dropped[:, None, :], 0, v_b), -1, -2)
-    m_r = v_t @ _xd(lyap.noise_base) @ np.swapaxes(v_t, -1, -2) + np.eye(work.m) * dropped[:, None, :]
-    z = v_t @ lyap.gains
+    m_r = v_t @ policy.noise_covs @ np.swapaxes(v_t, -1, -2) + np.eye(work.m) * dropped[:, None, :]
+    z = v_t @ policy.gains
     quad = np.trace(z @ sigmas[:-1] @ np.swapaxes(z, -1, -2), axis1=-2, axis2=-1)
-    logdet_m = np.sum(np.log(sym_eig(m_r)[0]), axis=-1)
+    logdet_m = np.sum(np.log(np.linalg.eigvalsh(m_r)), axis=-1)
     path_kl = np.sum(np.trace(m_r, axis1=-2, axis2=-1) - logdet_m - work.m + quad) / 2
 
     # coupling relative entropy by the chain rule over x_0: given x_0, the optimal

@@ -27,8 +27,8 @@ inputs (of the open loop, and of the extended-precision pinned pieces; the
 float64 closed loops of :mod:`~maxent_steer.lqr` and
 :mod:`~maxent_steer.steering` come from their Riccati sweep),
 :func:`_lyapunov_forward` the forward covariance recursion
-X <- F_k X F_k^T + Q_k that gives G_r(k, 0), closed-loop and pinned
-covariances, and :class:`_Pipeline` the extended-precision normalized
+X <- F_k X F_k^T + Q_k that gives G_r(k, 0) and the state covariances
+of every policy, and :class:`_Pipeline` the extended-precision normalized
 coordinates of the density solver. Only true recurrences (transition
 products, forward covariances) loop over steps: Gramian increments are one
 stacked product and one running sum, bit for bit what a per-step loop gives.
@@ -323,7 +323,8 @@ def _check_window(sys: LinearSystemModel, k1: int, k0: int):
 def _lyapunov_forward(f, q, x0) -> np.ndarray:
     """X_0 = x0 and X_{k+1} = sym(F_k X_k F_k^T + Q_k) for k = 0..N-1, stacked (N+1, n, n).
 
-    Dtype-generic: the stack takes the dtype of ``f``.
+    Every caller is float64: the forward Gramians G_r(k, 0) and the policy
+    moments of :func:`~maxent_steer.simulate.propagate_policy_moments`.
     """
     x = np.empty((f.shape[0] + 1,) + f.shape[1:], dtype=f.dtype)
     x[0] = x0

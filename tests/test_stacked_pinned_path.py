@@ -1,8 +1,8 @@
-"""The pinned controller, its moment kernel and the bridge check do each piece of
-extended-precision work once per stack. The routes they replaced are kept here
-as references:
+"""The pinned controller and the bridge check do each piece of extended-precision
+work once per stack, and the moment kernel steps the float64 policy's moments
+one diagonal at a time. The routes they replaced are kept here as references:
 
-- the per-row loop of the moment kernel;
+- the per-row loop of the moment kernel, on the same float64 policy moments;
 - ``rcond_eig`` of the spectrum of G_r(N, 0) and then ``pinv_eig`` of the
   eigenpairs of the G_r(N, k) stack;
 - the path relative entropy as a per-step loop over n x n pseudo-inverses;
@@ -21,11 +21,14 @@ import pytest
 
 from maxent_steer import (
     LinearSystemModel,
+    SingularA,
     SingularGramian,
     bridge_verify,
+    conditional_gaussian_oracle,
     pinned_controller,
     pinned_moments_controller,
     point_to_point_policy,
+    propagate_policy_moments,
 )
 from maxent_steer import pinned
 from maxent_steer.linalg import _sym_from_eig, pinv_eig, psd_sqrt_raw, rcond_eig, sym_eig, symmetrize
@@ -34,7 +37,6 @@ from maxent_steer.steering import _minus_pair
 from maxent_steer.system import (
     INVERTIBILITY_RCOND,
     _backward_sweep,
-    _endpoints,
     _f64,
     _lyapunov_forward,
     _validate,
@@ -91,25 +93,18 @@ class LoopPieces:
 
 
 def loop_moments(sys, x0bar, target):
-    """The moment kernel one row k at a time, on the reference pieces."""
-    x0bar, xt = _endpoints(sys, x0bar, target, "points")
-    pieces = LoopPieces(_xd(sys.A), _xd(sys.B))
+    """The moment kernel one row k at a time, on the moments of the float64 policy."""
+    policy = point_to_point_policy(sys, x0bar, target)
+    mean, diags = propagate_policy_moments(sys, policy, np.asarray(x0bar, dtype=np.float64))
     horizon, n = sys.horizon, sys.n
-    mean = np.zeros((horizon + 1, n))
     cov = np.zeros((horizon + 1, horizon + 1, n, n))
-    ell = _xd(x0bar)
-    mean[0] = _f64(ell)
-    for k in range(horizon):
-        ell = pieces.Ahat[k] @ ell + pieces.D[k] @ _xd(xt)
-        mean[k + 1] = _f64(ell)
-    diags_x = _lyapunov_forward(pieces.Ahat, pieces.Lam, 0)
-    ahat_t = swap(pieces.Ahat)
+    acl_t = swap(sys.A + sys.B @ policy.gains)
     for k in range(horizon + 1):
-        row = np.empty((horizon + 1 - k, n, n), dtype=_X)
-        row[0] = diags_x[k]
+        row = np.empty((horizon + 1 - k, n, n))
+        row[0] = diags[k]
         for s in range(k, horizon):
-            row[s - k + 1] = row[s - k] @ ahat_t[s]
-        cov[k, k:] = _f64(row)
+            row[s - k + 1] = row[s - k] @ acl_t[s]
+        cov[k, k:] = row
         cov[k + 1 :, k] = swap(cov[k, k + 1 :])
     return mean, cov
 
@@ -222,6 +217,10 @@ DENSITY_PLANTS = {
     "n1-m2": lambda: (
         LinearSystemModel(np.array([[1.1]]), np.array([[0.5, -0.2]]), 12), np.array([[2.0]]), np.array([[0.3]])
     ),
+    **{
+        f"verify-{name}": lambda name=name: _verify_plant_at_its_weight(name)
+        for name in (f"bridge-n{n}-N{h}" for n in (2, 4, 6) for h in (50, 100))
+    },
 }
 
 
@@ -232,6 +231,13 @@ def verify_plants():
     spec.loader.exec_module(workloads)
     rng = workloads._rng(1, "verify")
     return [workloads.density_problem(rng, f"bridge-n{n}-N{h}", n, h) for n in (2, 4, 6) for h in (50, 100)]
+
+
+def _verify_plant_at_its_weight(name):
+    """A verify bridge plant with its entropy weight absorbed into B, a unit-weight problem."""
+    p = next(p for p in verify_plants() if p.name == name)
+    sys = LinearSystemModel(p.a, p.b, p.horizon).with_input_scaled(np.sqrt(p.epsilon))
+    return sys, p.sigma0, p.sigma_t
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +304,24 @@ def test_moment_kernel_by_diagonals_matches_the_row_loop(plant):
     mean, cov = loop_moments(sys, x0, xt)
     assert same_bits(got.mean, mean)
     assert same_bits(got.cov, cov)
+
+
+@pytest.mark.parametrize("plant", sorted(POINT_PLANTS))
+def test_moments_are_those_of_the_float64_policy_and_match_the_oracle(plant):
+    sys, x0, xt = POINT_PLANTS[plant]()
+    got = pinned_moments_controller(sys, x0, xt)
+    mean, diags = propagate_policy_moments(sys, point_to_point_policy(sys, x0, xt), x0)
+    steps = np.arange(sys.horizon + 1)
+    assert same_bits(got.mean, mean)
+    assert same_bits(got.cov[steps, steps], diags)
+    if plant == "singular-A3":
+        # the oracle's normalized coordinates need every A_k invertible
+        with pytest.raises(SingularA):
+            conditional_gaussian_oracle(sys, x0, xt)
+        return
+    oracle = conditional_gaussian_oracle(sys, x0, xt)
+    assert np.abs(got.mean - oracle.mean).max() <= 1e-9
+    assert np.abs(got.cov - oracle.cov).max() <= 1e-9
 
 
 # ---------------------------------------------------------------------------
